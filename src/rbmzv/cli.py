@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import identity_engine, mzv_calculus as mzv, numeric_eval, operator_gallery as ops
 from .coefficients import PolyQ, RatFuncQ
-from .letters import COMPOSITION, QLETTERS, WORD
+from .letters import COMPOSITION
 from .mzv_calculus import (
     InadmissibleError,
     Relation,
@@ -67,8 +67,8 @@ def _parse_weight(text: str):
         return PolyQ((1, -1))
     try:
         return Fraction(text)
-    except ValueError:
-        raise SystemExit(2)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed weight {text!r}") from None
 
 
 def _emit(args, payload: dict, text: str):

@@ -5,9 +5,10 @@ power congruence, all in exact arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import TruncSeries, series_exp, series_log1p
@@ -157,7 +158,7 @@ def bohnenblust_spitzer_check(n: int) -> IdentityReport:
     alg = ShaAlgebra(COMPOSITION, 1)
     letters = _PRIMES[:n]
     lhs = alg.zero()
-    for perm in _permutations(letters):
+    for perm in itertools.permutations(letters):
         lhs = lhs + alg.nested_p(perm)
     rhs = alg.zero()
     for blocks in set_partitions(n):
@@ -169,12 +170,6 @@ def bohnenblust_spitzer_check(n: int) -> IdentityReport:
             term = term * alg.p(alg.j(payload))
         rhs = rhs + coef * term
     return _element_compare("bohnenblust_spitzer", {"n": n}, lhs, rhs)
-
-
-def _permutations(seq):
-    import itertools
-
-    return itertools.permutations(seq)
 
 
 def _check_prime(p: int):

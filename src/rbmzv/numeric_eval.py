@@ -14,7 +14,7 @@ and the value is sum_n g_1(n).  The naive O(N^k) loop in exact rationals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

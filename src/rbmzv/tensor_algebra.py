@@ -7,11 +7,15 @@ coefficients dropped; the empty word () stands for the ring unit of the
 unitarized word algebra.  Elements of Sha(A) are handled by ``ShaAlgebra``
 / ``ShaElement``; there the distinguished payload ``None`` is the unit
 letter of the unitarization of A.
+
+The mixable shuffle, the quasi-shuffle (its weight-1 case) and the Sha(A)
+product share one recursion, ``_msh``.  Its memo is created by each
+top-level product and lives only for that product, so it is keyed on the
+suffix pair alone and can never return a result computed for another
+letter system or weight.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .letters import LetterSystem
 
@@ -31,12 +35,6 @@ def _add_term(out: dict, w, c):
             del out[w]
 
 
-def add_into(out: dict, other: dict, scale=1):
-    for w, c in other.items():
-        _add_term(out, w, scale * c if scale != 1 else c)
-    return out
-
-
 def _unit_product(system: LetterSystem, x, y):
     """Letter product in the unitarization k + A (None is the unit)."""
     if x is None:
@@ -44,12 +42,6 @@ def _unit_product(system: LetterSystem, x, y):
     if y is None:
         return [(1, x)]
     return system.product(x, y)
-
-
-# Subproblem cache for the shuffle recursions.  Results for long word
-# pairs are large and rarely shared, so only short pairs are kept.
-_MEMO: dict = {}
-_MEMO_MAX_LEN = 6
 
 
 def _check_weight(system: LetterSystem, weight):
@@ -63,36 +55,35 @@ def _check_weight(system: LetterSystem, weight):
 def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb:
     """Mixable shuffle of weight ``weight`` via the four-case recursion."""
     _check_weight(system, weight)
-    return dict(_msh(system, tuple(a), tuple(b), weight))
+    return dict(_msh(system, tuple(a), tuple(b), weight, {}))
 
 
-def _msh(system, a, b, lam):
+def _msh(system, a, b, lam, memo):
+    """Four-case recursion; ``memo`` maps a suffix pair (a, b) to its result."""
     if not a:
         return {b: 1}
     if not b:
         return {a: 1}
-    small = len(a) + len(b) <= _MEMO_MAX_LEN
-    if small:
-        key = (system.name, lam, a, b)
-        hit = _MEMO.get(key)
-        if hit is not None:
-            return hit
+    key = (a, b)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     out: dict = {}
     get = out.get
     a0, arest = a[0], a[1:]
     b0, brest = b[0], b[1:]
-    for w, c in _msh(system, arest, b, lam).items():
+    for w, c in _msh(system, arest, b, lam, memo).items():
         nw = (a0,) + w
         v = get(nw)
         out[nw] = c if v is None else v + c
-    for w, c in _msh(system, a, brest, lam).items():
+    for w, c in _msh(system, a, brest, lam, memo).items():
         nw = (b0,) + w
         v = get(nw)
         out[nw] = c if v is None else v + c
     if lam:
         merged = _unit_product(system, a0, b0)
         if merged:
-            tail = _msh(system, arest, brest, lam)
+            tail = _msh(system, arest, brest, lam, memo)
             for pc, p in merged:
                 coef = lam * pc
                 for w, c in tail.items():
@@ -101,8 +92,7 @@ def _msh(system, a, b, lam):
                     out[nw] = coef * c if v is None else v + coef * c
     for nw in [w for w, v in out.items() if not v]:
         del out[nw]
-    if small:
-        _MEMO[key] = out
+    memo[key] = out
     return out
 
 
@@ -159,57 +149,9 @@ def mixable_shuffle_direct(system: LetterSystem, a: Word, b: Word, weight=1) -> 
 
 
 def quasi_shuffle(system: LetterSystem, a: Word, b: Word) -> LinComb:
-    """Hoffman's quasi-shuffle with bracket given by the letter product."""
-    return dict(_qsh(system, tuple(a), tuple(b)))
-
-
-def _qsh(system, a, b):
-    if not a:
-        return {b: 1}
-    if not b:
-        return {a: 1}
-    small = len(a) + len(b) <= _MEMO_MAX_LEN
-    if small:
-        key = ("qsh", system.name, a, b)
-        hit = _MEMO.get(key)
-        if hit is not None:
-            return hit
-    out: dict = {}
-    get = out.get
-    a0, w1 = a[0], a[1:]
-    b0, w2 = b[0], b[1:]
-    for w, c in _qsh(system, w1, b).items():
-        nw = (a0,) + w
-        v = get(nw)
-        out[nw] = c if v is None else v + c
-    for w, c in _qsh(system, a, w2).items():
-        nw = (b0,) + w
-        v = get(nw)
-        out[nw] = c if v is None else v + c
-    bracket = _unit_product(system, a0, b0)
-    if bracket:
-        tail = _qsh(system, w1, w2)
-        for pc, p in bracket:
-            for w, c in tail.items():
-                nw = (p,) + w
-                v = get(nw)
-                out[nw] = pc * c if v is None else v + pc * c
-    for nw in [w for w, v in out.items() if not v]:
-        del out[nw]
-    if small:
-        _MEMO[key] = out
-    return out
-
-
-def shuffle_term_count(m: int, n: int) -> int:
-    """Number of plain shuffles of words of lengths m and n: C(m+n, m)."""
-    import math
-
-    return math.comb(m + n, m)
-
-
-def word_first_degree(system: LetterSystem, w: Word) -> int:
-    return system.degree(w[0])
+    """Hoffman's quasi-shuffle with bracket given by the letter product:
+    the weight-1 mixable shuffle."""
+    return dict(_msh(system, tuple(a), tuple(b), 1, {}))
 
 
 def render_word(system: LetterSystem, w: Word, sep: str = "⊗") -> str:
@@ -337,18 +279,14 @@ class ShaElement:
         alg = self.alg
         system, lam = alg.system, alg.weight
         out: dict = {}
+        memo: dict = {}
         for (h1, t1), c1 in self.terms.items():
             for (h2, t2), c2 in other.terms.items():
                 c = c1 * c2
                 heads = _unit_product(system, h1, h2)
                 if not heads:
                     continue
-                if not t1:
-                    tails = {t2: 1}
-                elif not t2:
-                    tails = {t1: 1}
-                else:
-                    tails = _msh(system, t1, t2, lam)
+                tails = _msh(system, t1, t2, lam, memo)
                 for hc, h in heads:
                     chc = c * hc
                     for t, tc in tails.items():

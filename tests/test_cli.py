@@ -78,6 +78,15 @@ class TestProduct:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("weight", ["abc", "1/0"])
+    def test_malformed_weight(self, capsys, weight):
+        code, out, err = run(
+            capsys, "product", "--mode", "mixable", "--weight", weight, "2", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: malformed weight {weight!r}" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "product", "2,1", "3")
         _, out2, _ = run(capsys, "product", "2,1", "3")

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from rbmzv import ShaAlgebra
-from rbmzv.coefficients import ONE_MINUS_Q
-from rbmzv.letters import COMPOSITION, QLETTERS, WORD, X0, X1
+from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
+from rbmzv.letters import COMPOSITION, QLETTERS, WORD, X0, X1, LetterSystem
 from rbmzv.tensor_algebra import (
     mixable_shuffle,
     mixable_shuffle_direct,
@@ -125,6 +125,29 @@ class TestMixableShuffle:
             for w in mixable_shuffle(COMPOSITION, a, b, 1):
                 assert COMPOSITION.degree(w[0]) >= 2
 
+    def test_systems_sharing_a_name_do_not_share_results(self):
+        # both keep LetterSystem's default name
+        class Additive(LetterSystem):
+            def product(self, x, y):
+                return [(1, x + y)]
+
+        class Multiplicative(LetterSystem):
+            def product(self, x, y):
+                return [(1, x * y)]
+
+        assert (5,) in mixable_shuffle(Additive(), (2,), (3,), 1)
+        assert mixable_shuffle(Multiplicative(), (2,), (3,), 1) == {
+            (2, 3): 1,
+            (3, 2): 1,
+            (6,): 1,
+        }
+
+    def test_equal_weights_of_different_types_are_not_mixed(self):
+        assert mixable_shuffle(COMPOSITION, (2,), (3,), 1)[(5,)] == 1
+        coef = mixable_shuffle(COMPOSITION, (2,), (3,), PolyQ((1,)))[(5,)]
+        assert isinstance(coef, PolyQ)
+        assert coef == PolyQ((1,))
+
 
 class TestQuasiShuffle:
     def test_unit_clause(self):
@@ -146,7 +169,7 @@ class TestQuasiShuffle:
         ]
         for a, b in itertools.product(words[:40], repeat=2):
             assert quasi_shuffle(COMPOSITION, a, b) == \
-                mixable_shuffle(COMPOSITION, a, b, 1)
+                mixable_shuffle_direct(COMPOSITION, a, b, 1)
 
 
 class TestShaAlgebra:
