@@ -11,10 +11,8 @@ from .coefficients import (
     RatFuncQ,
     TruncSeries,
     poly_gcd,
-    ratfunc_normalize,
     series_exp,
     series_log1p,
-    series_mul,
 )
 from .letters import (
     COMPOSITION,

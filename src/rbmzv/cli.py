@@ -57,11 +57,6 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _default_n() -> int:
-    env = os.environ.get("RBX_DEFAULT_N")
-    return int(env) if env else 100_000
-
-
 def _parse_weight(text: str):
     if text == "1-q":
         return PolyQ((1, -1))
@@ -357,6 +352,9 @@ def cmd_corpus(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # argparse passes a string default through ``type`` only when it parses
+    # the option, so a malformed value is a usage error (exit 2)
+    default_n = os.environ.get("RBX_DEFAULT_N") or "100000"
     parser = argparse.ArgumentParser(
         prog="rbmzv",
         description="Rota-Baxter shuffle algebras and multiple zeta values",
@@ -386,7 +384,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="numeric evaluation by truncated sums")
     p.add_argument("--comp", required=True)
-    p.add_argument("--N", type=int, default=_default_n())
+    p.add_argument("--N", type=int, default=default_n)
     p.add_argument("--x", default="0")
     p.add_argument("--q", default=None)
     p.add_argument("--K", type=int, default=400)
@@ -409,7 +407,7 @@ def make_parser() -> argparse.ArgumentParser:
     b = csub.add_parser("build")
     b.add_argument("--max-weight", type=int, default=6)
     b.add_argument("--max-depth", type=int, default=3)
-    b.add_argument("--N", type=int, default=_default_n())
+    b.add_argument("--N", type=int, default=default_n)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_corpus)
 

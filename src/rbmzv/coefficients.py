@@ -2,10 +2,13 @@
 in a formal parameter q, and truncated power series.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced).
-Polynomials are dense with Fraction coefficients; rational functions are
-kept in canonical form (coprime, monic denominator) so equality is a
-tuple comparison.  Truncated series work over any coefficient module whose
-elements support ``+``, ``*`` and left-multiplication by a Fraction.
+There is one dense polynomial type, ``DensePoly``, generic over its
+coefficient ring: ``PolyQ`` is its instance over the rationals, and
+``operator_gallery.XPoly`` its instance over ``RatFuncQ``.  Rational
+functions are kept in canonical form (coprime, monic denominator) so
+equality is a tuple comparison.  Truncated series work over any
+coefficient module whose elements support ``+``, ``*`` and
+left-multiplication by a Fraction.
 """
 
 from __future__ import annotations
@@ -21,55 +24,57 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class PolyQ:
-    """Dense polynomial in q over the rationals, no trailing zeros."""
+class DensePoly:
+    """Dense polynomial over a coefficient ring, no trailing zeros.
+
+    The arithmetic is written once here; a subclass fixes the ring with
+    three class attributes: ``_coeff`` coerces one input to a ring element,
+    ``_zero`` is the ring's zero, and ``_scalars`` are the types read as
+    constant polynomials.  Only the subclass itself and those scalars are
+    accepted as operands, so two polynomial types never read each other's
+    coefficients.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        coerce = self._coeff
+        cs = [coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *a):
-        raise AttributeError("PolyQ is immutable")
-
-    @classmethod
-    def const(cls, c) -> "PolyQ":
-        return cls((c,))
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def degree(self) -> int:
         # -1 is the zero-polynomial sentinel
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def _coerce(self, other):
-        if isinstance(other, PolyQ):
+        if type(other) is type(self):
             return other
-        if isinstance(other, (int, Fraction)):
-            return PolyQ((other,))
+        if isinstance(other, self._scalars):
+            return type(self)((other,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return PolyQ(
-            (self[i] + o[i]) for i in range(n)
-        )
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return type(self)(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyQ(-c for c in self.coeffs)
+        return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -87,20 +92,29 @@ class PolyQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return PolyQ(out)
+        a, b = self.coeffs, o.coeffs
+        if not a or not b:
+            return type(self)()
+        out = []
+        for k in range(len(a) + len(b) - 1):
+            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+            # the slot starts at its first product, not at zero: adding
+            # onto zero costs a gcd for rational-function coefficients
+            s = a[lo] * b[k - lo]
+            for i in range(lo + 1, hi + 1):
+                s = s + a[i] * b[k - i]
+            out.append(s)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return self._zero
+
+    def __iter__(self):
+        return iter(self.coeffs)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -110,14 +124,26 @@ class PolyQ:
 
     def __hash__(self):
         if len(self.coeffs) <= 1:
-            # constants hash like their rational value
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
+            # constants hash like their coefficient, so they match scalars
+            return hash(self.coeffs[0] if self.coeffs else self._zero)
         return hash(self.coeffs)
 
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+
+class PolyQ(DensePoly):
+    """Dense polynomial in q over the rationals, no trailing zeros."""
+
+    __slots__ = ()
+    _coeff = staticmethod(_as_fraction)
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
 
     def monic(self) -> "PolyQ":
         lc = self.leading()
@@ -180,9 +206,6 @@ class PolyQ:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
 
-    def __repr__(self):
-        return f"PolyQ({list(self.coeffs)!r})"
-
 
 #: the formal variable q
 Q_VAR = PolyQ((0, 1))
@@ -195,10 +218,6 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     while b:
         a, b = b, a % b
     return a.monic() if a else a
-
-
-def ratfunc_normalize(num: PolyQ, den: PolyQ) -> "RatFuncQ":
-    return RatFuncQ(num, den)
 
 
 class RatFuncQ:
@@ -402,10 +421,6 @@ def _require_zero_constant(a: TruncSeries):
     zero = 0 * a.one
     if a.coeffs[0] != zero:
         raise ValueError("series must have zero constant term")
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
 
 
 def series_exp(a: TruncSeries) -> TruncSeries:

@@ -47,16 +47,11 @@ class CompositionLetters(LetterSystem):
         return str(payload)
 
 
-class MonomialLetters(LetterSystem):
-    """Monomials a^i of a polynomial ring in one variable."""
+class MonomialLetters(CompositionLetters):
+    """Monomials a^i of a polynomial ring in one variable: the composition
+    letters' product and degree, rendered as powers of a."""
 
     name = "monomial"
-
-    def product(self, x, y):
-        return [(1, x + y)]
-
-    def degree(self, payload):
-        return payload
 
     def letter_str(self, payload):
         return f"a^{payload}"

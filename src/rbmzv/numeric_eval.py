@@ -54,18 +54,30 @@ def _final_sum(terms: np.ndarray, compensated: bool) -> float:
     return float(terms.sum())
 
 
+def _nested(levels) -> np.ndarray:
+    """Summands g_1 of the prefix-sum recursion.
+
+    ``levels`` yields the per-depth term arrays f_k, ..., f_1, innermost
+    first; pass a generator, so only one level's array is live at a time.
+    Each level multiplies the exclusive prefix sums of the level inside it.
+    """
+    levels = iter(levels)
+    cur = next(levels)
+    for f in levels:
+        inner = np.empty_like(cur)
+        inner[:1] = 0
+        np.cumsum(cur[:-1], out=inner[1:])
+        cur = np.multiply(f, inner, out=inner)
+    return cur
+
+
 def zeta_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     """Truncated multiple (Hurwitz) zeta value by the prefix-sum recursion."""
     cfg = cfg or EvalConfig()
     require_admissible(s)
     n = np.arange(1, cfg.N + 1, dtype=np.float64) + float(cfg.x)
-    inner = None
-    for sj in reversed(s):
-        f = n ** float(-sj)
-        cur = f if inner is None else f * inner
-        # exclusive prefix sums feed the next-outer index
-        inner = np.concatenate(([0.0], np.cumsum(cur)[:-1]))
-    value = _final_sum(cur, cfg.compensated)
+    terms = _nested(n ** float(-sj) for sj in reversed(s))
+    value = _final_sum(terms, cfg.compensated)
     k = len(s)
     tail = 2.0 * math.log(cfg.N) ** (k - 1) * cfg.N ** (1 - s[0]) / (s[0] - 1)
     return EvalResult(value=value, tail_bound=tail)
@@ -88,12 +100,9 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
         raise ValueError("inner letters need |z| <= 1")
     n = np.arange(1, cfg.N + 1, dtype=np.float64)
     shifted = n + float(cfg.x)
-    inner = None
-    for sj, zj in zip(reversed(s), reversed(z)):
-        f = np.power(zj, n) * shifted ** float(-sj)
-        cur = f if inner is None else f * inner
-        inner = np.concatenate(([0.0 + 0.0j], np.cumsum(cur)[:-1]))
-    total = complex(cur.sum())
+    terms = _nested(np.power(zj, n) * shifted ** float(-sj)
+                    for sj, zj in zip(reversed(s), reversed(z)))
+    total = complex(terms.sum())
     value = total.real if all(w.imag == 0 for w in z) else abs(total)
     r = abs(z[0])
     if r < 1:
@@ -111,12 +120,8 @@ def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     q = float(cfg.q)
     k = np.arange(1, cfg.K + 1, dtype=np.float64)
     bracket = (1.0 - q**k) / (1.0 - q)
-    inner = None
-    for sj in reversed(s):
-        f = q ** (k * (sj - 1)) / bracket**sj
-        cur = f if inner is None else f * inner
-        inner = np.concatenate(([0.0], np.cumsum(cur)[:-1]))
-    value = _final_sum(cur, cfg.compensated)
+    terms = _nested(q ** (k * (sj - 1)) / bracket**sj for sj in reversed(s))
+    value = _final_sum(terms, cfg.compensated)
     tail = q ** (cfg.K * (s[0] - 1)) * cfg.K * (1.0 - q) ** sum(s)
     return EvalResult(value=value, tail_bound=tail)
 

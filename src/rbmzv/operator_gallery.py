@@ -1,14 +1,16 @@
 """Concrete Rota-Baxter operators with exact axiom verification: the
-partial-sum operator Z on finite windows, polynomial integration I, and
-the Jackson-integral operators P_q, P_q-hat and J on polynomials with
-rational-function coefficients.
+partial-sum operator Z on finite windows, polynomial integration I on
+``PolyQ``, and the Jackson-integral operators P_q, P_q-hat and J on
+``XPoly``, polynomials in x with rational-function coefficients.  Both
+polynomial types are the one dense polynomial ``coefficients.DensePoly``
+over different coefficient rings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import PolyQ, RatFuncQ, ONE_MINUS_Q
+from .coefficients import DensePoly, PolyQ, RatFuncQ, ONE_MINUS_Q
 
 
 # --- partial sums on finite windows -----------------------------------------
@@ -50,97 +52,36 @@ def z_nested(fs: list[list]) -> list:
 
 # --- polynomial integration --------------------------------------------------
 
-def poly_mul(f: list, g: list) -> list:
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
+def integrate(f) -> PolyQ:
+    """I(x^m) = x^(m+1)/(m+1), extended linearly; f is a PolyQ or a dense
+    Q-coefficient list, constant term first."""
+    return PolyQ([0] + [c / (m + 1) for m, c in enumerate(PolyQ(f))])
 
 
-def poly_add(f: list, g: list) -> list:
-    n = max(len(f), len(g))
-    out = [Fraction(0)] * n
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] += b
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def integrate(f: list) -> list:
-    """I(x^m) = x^(m+1)/(m+1), extended linearly; f is a dense Q-coefficient
-    list, constant term first."""
-    return [Fraction(0)] + [Fraction(c, 1) / (m + 1) for m, c in enumerate(f)]
-
-
-def integration_rb_defect(f: list, g: list) -> list:
+def integration_rb_defect(f, g) -> PolyQ:
     """I(f)I(g) - I(f I(g)) - I(I(f) g); zero iff the weight-0 identity holds."""
+    f, g = PolyQ(f), PolyQ(g)
     i_f, i_g = integrate(f), integrate(g)
-    lhs = poly_mul(i_f, i_g)
-    rhs = poly_add(integrate(poly_mul(f, i_g)), integrate(poly_mul(i_f, g)))
-    return poly_add(lhs, [-c for c in rhs])
+    return i_f * i_g - integrate(f * i_g) - integrate(i_f * g)
 
 
 # --- Jackson operators -------------------------------------------------------
 
-class XPoly:
+def _as_ratfunc(c) -> RatFuncQ:
+    return c if isinstance(c, RatFuncQ) else RatFuncQ(c)
+
+
+class XPoly(DensePoly):
     """Polynomial in x with rational-function-in-q coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, RatFuncQ) else RatFuncQ(PolyQ((c,)))
-              for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly(self[i] + other[i] for i in range(n))
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly(self[i] - other[i] for i in range(n))
-
-    def __mul__(self, other):
-        if not isinstance(other, XPoly):
-            return XPoly(other * c for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return XPoly()
-        out = [RatFuncQ(PolyQ())] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return RatFuncQ(PolyQ())
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    __slots__ = ()
+    _coeff = staticmethod(_as_ratfunc)
+    _zero = RatFuncQ(PolyQ())
+    _scalars = (int, Fraction, PolyQ, RatFuncQ)
 
     def shift_x(self) -> "XPoly":
         """Multiply by x."""
-        return XPoly((RatFuncQ(PolyQ()),) + self.coeffs)
+        return XPoly((self._zero,) + self.coeffs)
 
     def evaluate(self, xval: Fraction, qval: Fraction) -> Fraction:
         v = Fraction(0)

@@ -164,6 +164,12 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["N"] == 500
 
+    def test_env_default_n_malformed(self, capsys, monkeypatch):
+        monkeypatch.setenv("RBX_DEFAULT_N", "abc")
+        code, _, err = run(capsys, "eval", "--comp", "2")
+        assert code == 2
+        assert "invalid int value" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from rbmzv.operator_gallery import (
     jackson_j,
     p_hat_q,
     p_q,
-    poly_mul,
     rb_defect,
     seq_mul,
     z_apply,
@@ -67,29 +66,22 @@ class TestPartialSums:
 
 class TestIntegration:
     def test_monomial(self):
-        assert integrate([Fraction(0), Fraction(0), Fraction(1)]) == [
-            Fraction(0),
-            Fraction(0),
-            Fraction(0),
-            Fraction(1, 3),
-        ]
+        assert integrate([Fraction(0), Fraction(0), Fraction(1)]) == PolyQ(
+            (0, 0, 0, Fraction(1, 3))
+        )
 
     def test_constant(self):
-        assert integrate([Fraction(2)]) == [Fraction(0), Fraction(2)]
+        assert integrate([Fraction(2)]) == PolyQ((0, 2))
 
     def test_weight_zero_defect_vanishes(self, rng):
         for _ in range(30):
             f = rand_poly(rng, rng.randint(0, 6))
             g = rand_poly(rng, rng.randint(0, 6))
-            assert integration_rb_defect(f, g) == []
+            assert integration_rb_defect(f, g) == PolyQ()
 
     def test_hand_example(self):
         # I(1)I(1) = x^2 = I(1*x) + I(x*1)
-        assert poly_mul(integrate([Fraction(1)]), integrate([Fraction(1)])) == [
-            Fraction(0),
-            Fraction(0),
-            Fraction(1),
-        ]
+        assert integrate([Fraction(1)]) * integrate([Fraction(1)]) == PolyQ((0, 0, 1))
 
 
 def xp(*coeffs):
@@ -113,6 +105,16 @@ class TestXPoly:
     def test_str(self):
         assert str(xp(0, 1)) == "1*x"
         assert str(XPoly()) == "0"
+
+    def test_polyq_is_a_scalar_not_an_xpoly(self):
+        # a PolyQ in q is a constant in x, never read as x-coefficients
+        one_plus_q = PolyQ((1, 1))
+        expected = XPoly([RatFuncQ(one_plus_q)] * 2)  # (1 + q) + (1 + q)*x
+        assert one_plus_q * xp(1, 1) == expected
+        assert xp(1, 1) * one_plus_q == expected
+        assert str(expected) == "(1 + q) + (1 + q)*x"
+        assert xp(1) + one_plus_q == XPoly([RatFuncQ(PolyQ((2, 1)))])
+        assert one_plus_q + xp(1) == XPoly([RatFuncQ(PolyQ((2, 1)))])
 
 
 class TestJacksonOperators:
