@@ -252,11 +252,47 @@ def _admissible_compositions(max_weight, max_depth):
 
 def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
     """All golden-corpus entries within the bounds, verified, sorted."""
-    cache: dict = {}
+    relations = []  # (relation, generator, params), in generation order
+    comps = _admissible_compositions(max_weight, max_depth)
+    sizes = [(comp_weight(c), len(c)) for c in comps]
+    # comps is sorted and distinct, so b >= a exactly from a's own index on
+    for i, a in enumerate(comps):
+        wa, da = sizes[i]
+        for j in range(i, len(comps)):
+            wb, db = sizes[j]
+            if wa + wb > max_weight or da + db > max_depth:
+                continue
+            b = comps[j]
+            relations.append((
+                mzv.double_shuffle_relation(a, b),
+                "doubleshuffle",
+                f"{composition_str(a)}|{composition_str(b)}",
+            ))
+    for n in (2, 3):
+        if n > max_depth:
+            continue
+        for s in _sorted_tuples(n, max_weight):
+            relations.append((
+                mzv.hoffman_partition_relation(s),
+                "hoffman",
+                ",".join(str(p) for p in s),
+            ))
+    for k in range(2, max_weight + 1):
+        for order in range(2, max_depth + 1):
+            if k * order > max_weight:
+                continue
+            relations.append((
+                mzv.spitzer_zeta_relation(k, order),
+                "spitzer",
+                f"k={k},order={order}",
+            ))
+    values = numeric_eval.zeta_values(
+        dict.fromkeys(c for rel, _, _ in relations for c in rel.compositions()),
+        cfg,
+    )
     entries = []
-
-    def numeric_entry(rel: Relation, generator: str, params: str):
-        residual = numeric_eval.eval_relation(rel, cfg, cache)
+    for rel, generator, params in relations:
+        residual = numeric_eval.eval_relation(rel, cfg, values)
         entries.append({
             "weight": rel.max_weight(),
             "generator": generator,
@@ -268,39 +304,6 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
             "verified": residual <= RESIDUAL_TOL,
             "mode": "numeric",
         })
-
-    comps = _admissible_compositions(max_weight, max_depth)
-    for a in comps:
-        for b in comps:
-            if b < a:
-                continue
-            if comp_weight(a) + comp_weight(b) > max_weight:
-                continue
-            if len(a) + len(b) > max_depth:
-                continue
-            numeric_entry(
-                mzv.double_shuffle_relation(a, b),
-                "doubleshuffle",
-                f"{composition_str(a)}|{composition_str(b)}",
-            )
-    for n in (2, 3):
-        if n > max_depth:
-            continue
-        for s in _sorted_tuples(n, max_weight):
-            numeric_entry(
-                mzv.hoffman_partition_relation(s),
-                "hoffman",
-                ",".join(str(p) for p in s),
-            )
-    for k in range(2, max_weight + 1):
-        for order in range(2, max_depth + 1):
-            if k * order > max_weight:
-                continue
-            numeric_entry(
-                mzv.spitzer_zeta_relation(k, order),
-                "spitzer",
-                f"k={k},order={order}",
-            )
     for s in comps:
         for p in (2, 3):
             if p * comp_weight(s) > max_weight:

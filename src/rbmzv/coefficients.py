@@ -268,7 +268,11 @@ class RatFuncQ:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncQ(-self.num, self.den)
+        # negation keeps the canonical form, so skip the constructor's gcd
+        out = object.__new__(RatFuncQ)
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -144,12 +144,8 @@ class Relation:
         )
 
     def compositions(self):
-        seen = []
-        for m, _ in self.terms:
-            for c in m:
-                if c not in seen:
-                    seen.append(c)
-        return seen
+        """Distinct compositions in order of first appearance."""
+        return list(dict.fromkeys(c for m, _ in self.terms for c in m))
 
     def to_json(self) -> dict:
         return {

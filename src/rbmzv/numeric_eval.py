@@ -7,8 +7,17 @@ s = (s1,...,sk) and f_j(n) = (x+n)^(-s_j),
 
     g_k = f_k,   g_{j} (n) = f_j(n) * sum_{m < n} g_{j+1}(m),
 
-and the value is sum_n g_1(n).  The naive O(N^k) loop in exact rationals
-(``nested_sum_oracle``) is the ground truth it is tested against.
+and the value is sum_n g_1(n).  g_j depends only on the suffix
+(s_j, ..., s_k), so ``zeta_values`` evaluates a whole set of compositions
+in one depth-first walk over the trie of their suffixes (``_walk``, the
+only prefix-sum kernel; ``mpl_num`` and ``qmzv_num`` walk a single chain).
+Each distinct suffix costs one term array f_j, one multiply by its
+parent's prefix sums and, only if a longer suffix extends it, one cumsum;
+each requested composition then costs one sum.  A node's prefix sums are
+freed once its last child has read them, so at most (max depth + 3)
+length-N arrays are live, however many compositions share the walk.
+The naive O(N^k) loop in exact rationals (``nested_sum_oracle``) is the
+ground truth it is tested against.
 """
 
 from __future__ import annotations
@@ -50,37 +59,69 @@ class EvalResult:
 
 def _final_sum(terms: np.ndarray, compensated: bool) -> float:
     if compensated:
-        return math.fsum(terms.tolist())
+        return math.fsum(terms)  # no list of N floats: fsum is exact in any order
     return float(terms.sum())
 
 
-def _nested(levels) -> np.ndarray:
-    """Summands g_1 of the prefix-sum recursion.
+def _walk(chains, level, total) -> dict:
+    """``{chain: total(g_1)}`` for each chain by one walk of the suffix trie.
 
-    ``levels`` yields the per-depth term arrays f_k, ..., f_1, innermost
-    first; pass a generator, so only one level's array is live at a time.
-    Each level multiplies the exclusive prefix sums of the level inside it.
+    A chain lists the per-depth keys outermost first; ``level(key)`` returns
+    a fresh term array f for one key.  Each trie node's summands are its own
+    f times the exclusive prefix sums of its parent (the suffix one key
+    shorter), multiplied into f so no array another node reads is written.
     """
-    levels = iter(levels)
-    cur = next(levels)
-    for f in levels:
-        inner = np.empty_like(cur)
-        inner[:1] = 0
-        np.cumsum(cur[:-1], out=inner[1:])
-        cur = np.multiply(f, inner, out=inner)
-    return cur
+    trie: dict = {}
+    for chain in chains:
+        node = trie
+        for key in reversed(chain):
+            node = node.setdefault(key, {})
+    wanted = set(chains)
+    values = {}
+    # (suffix, its subtrie, the parent's prefix sums); the stack's entries
+    # are a node's only hold on its parent's sums
+    stack = [((key,), sub, None) for key, sub in reversed(trie.items())]
+    while stack:
+        suffix, sub, prefix = stack.pop()
+        g = level(suffix[0])
+        if prefix is not None:
+            np.multiply(g, prefix, out=g)
+        prefix = None  # frees the parent's sums once its last child has read them
+        if suffix in wanted:
+            values[suffix] = total(g)
+        if sub:
+            prefix = np.empty_like(g)
+            prefix[:1] = 0
+            np.cumsum(g[:-1], out=prefix[1:])
+            stack.extend(((key,) + suffix, child, prefix)
+                         for key, child in reversed(sub.items()))
+        del g, prefix  # before the next level() allocates
+    return values
+
+
+def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
+    """``{comp: EvalResult}`` for every composition, by one suffix-trie walk."""
+    cfg = cfg or EvalConfig()
+    comps = [tuple(s) for s in comps]
+    for s in comps:
+        require_admissible(s)
+    n = np.arange(1, cfg.N + 1, dtype=np.float64) + float(cfg.x)
+    values = _walk(comps, lambda sj: n ** float(-sj),
+                   lambda terms: _final_sum(terms, cfg.compensated))
+    log_n = math.log(cfg.N)
+    return {
+        s: EvalResult(
+            value=values[s],
+            tail_bound=2.0 * log_n ** (len(s) - 1) * cfg.N ** (1 - s[0]) / (s[0] - 1),
+        )
+        for s in comps
+    }
 
 
 def zeta_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     """Truncated multiple (Hurwitz) zeta value by the prefix-sum recursion."""
-    cfg = cfg or EvalConfig()
-    require_admissible(s)
-    n = np.arange(1, cfg.N + 1, dtype=np.float64) + float(cfg.x)
-    terms = _nested(n ** float(-sj) for sj in reversed(s))
-    value = _final_sum(terms, cfg.compensated)
-    k = len(s)
-    tail = 2.0 * math.log(cfg.N) ** (k - 1) * cfg.N ** (1 - s[0]) / (s[0] - 1)
-    return EvalResult(value=value, tail_bound=tail)
+    s = tuple(s)
+    return zeta_values((s,), cfg)[s]
 
 
 def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
@@ -100,9 +141,10 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
         raise ValueError("inner letters need |z| <= 1")
     n = np.arange(1, cfg.N + 1, dtype=np.float64)
     shifted = n + float(cfg.x)
-    terms = _nested(np.power(zj, n) * shifted ** float(-sj)
-                    for sj, zj in zip(reversed(s), reversed(z)))
-    total = complex(terms.sum())
+    chain = tuple(zip(s, z))  # one key (s_j, z_j) per depth
+    total = _walk((chain,),
+                  lambda key: np.power(key[1], n) * shifted ** float(-key[0]),
+                  lambda terms: complex(terms.sum()))[chain]
     value = total.real if all(w.imag == 0 for w in z) else abs(total)
     r = abs(z[0])
     if r < 1:
@@ -120,8 +162,9 @@ def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     q = float(cfg.q)
     k = np.arange(1, cfg.K + 1, dtype=np.float64)
     bracket = (1.0 - q**k) / (1.0 - q)
-    terms = _nested(q ** (k * (sj - 1)) / bracket**sj for sj in reversed(s))
-    value = _final_sum(terms, cfg.compensated)
+    chain = tuple(s)
+    value = _walk((chain,), lambda sj: q ** (k * (sj - 1)) / bracket**sj,
+                  lambda terms: _final_sum(terms, cfg.compensated))[chain]
     tail = q ** (cfg.K * (s[0] - 1)) * cfg.K * (1.0 - q) ** sum(s)
     return EvalResult(value=value, tail_bound=tail)
 
@@ -143,26 +186,25 @@ def nested_sum_oracle(s: tuple, N: int, x: Fraction = Fraction(0)) -> Fraction:
     return rec(0, N + 1)
 
 
-def eval_monomial(m: tuple, cfg: EvalConfig, cache: dict | None = None) -> float:
+def eval_monomial(m: tuple, values: dict) -> float:
+    """Product of the values of a monomial's compositions, taken from
+    ``values`` (a ``zeta_values`` result)."""
     value = 1.0
     for comp in m:
-        if cache is not None and comp in cache:
-            r = cache[comp]
-        else:
-            r = zeta_num(comp, cfg)
-            if cache is not None:
-                cache[comp] = r
-        value *= r.value
+        value *= values[comp].value
     return value
 
 
 def eval_relation(r: Relation, cfg: EvalConfig | None = None,
-                  cache: dict | None = None) -> float:
-    """Absolute residual of a relation under numeric evaluation."""
-    cfg = cfg or EvalConfig()
-    for comp in r.compositions():
-        require_admissible(comp)
+                  values: dict | None = None) -> float:
+    """Absolute residual of a relation under numeric evaluation.
+
+    ``values`` is a ``zeta_values`` result holding every composition of
+    ``r``; without it they are evaluated here in one walk.
+    """
+    if values is None:
+        values = zeta_values(r.compositions(), cfg)
     total = 0.0
     for m, c in r.terms:
-        total += float(c) * eval_monomial(m, cfg, cache)
+        total += float(c) * eval_monomial(m, values)
     return abs(total)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -234,6 +235,16 @@ class TestCorpus:
         entries = build_corpus(4, 2, EvalConfig(N=1000))
         for e in entries:
             assert e["residual"] <= e["tolerance"]
+
+    def test_build_corpus_bytes_pinned(self):
+        # the corpus bytes as computed one composition at a time; sharing
+        # suffixes across a build must not change a single residual bit
+        entries = build_corpus(8, 4, EvalConfig(N=2000))
+        text = "".join(canonical_json(e) + "\n" for e in entries)
+        assert len(entries) == 79
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e5f54eb36f7bccc97b978c51c5e43d3c18dd6922b9edf7cf9e616055b0080bb6"
+        )
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmzv import coefficients
 from rbmzv.coefficients import (
     ONE_MINUS_Q,
     PolyQ,
@@ -120,6 +121,22 @@ class TestRatFuncQ:
         assert x * y == y * x
         if y:
             assert (x / y) * y == x
+
+    @pytest.mark.parametrize("num, den", [
+        ((0, 2), (2, -2)), ((3, 0, -1), (1, 1, 1)), ((Fraction(1, 3),), (0, 5)), ((), (1,)),
+    ])
+    def test_negation_runs_no_gcd(self, monkeypatch, num, den):
+        r = RatFuncQ(PolyQ(num), PolyQ(den))
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(coefficients, "poly_gcd", counting_gcd)
+        neg = -r
+        assert calls == []
+        assert neg == RatFuncQ(-r.num, r.den)
 
     def test_evaluate(self):
         r = RatFuncQ(Q_VAR, ONE_MINUS_Q)  # q/(1-q)

@@ -171,6 +171,14 @@ class TestRelation:
         r = double_shuffle_relation((2,), (2,))
         assert r.max_weight() == 4
 
+    def test_compositions_in_order_of_first_appearance(self):
+        r = Relation(
+            ((((2,), (3,)), Fraction(1)), (((3,), (2, 1)), Fraction(-1)),
+             (((5,),), Fraction(2))),
+            "test",
+        )
+        assert r.compositions() == [(2,), (3,), (2, 1), (5,)]
+
 
 class TestDoubleShuffle:
     def test_famous_weight_four(self):

@@ -1,7 +1,12 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmzv.mzv_calculus import (
     InadmissibleError,
@@ -13,11 +18,13 @@ from rbmzv.mzv_calculus import (
 )
 from rbmzv.numeric_eval import (
     EvalConfig,
+    EvalResult,
     eval_relation,
     mpl_num,
     nested_sum_oracle,
     qmzv_num,
     zeta_num,
+    zeta_values,
 )
 
 
@@ -185,8 +192,137 @@ class TestEvalRelation:
         r = spitzer_zeta_relation(2, 3)
         assert eval_relation(r, EvalConfig(N=5000)) < 1e-10
 
-    def test_cache_reused(self):
-        cache = {}
+    def test_precomputed_values_used(self):
+        cfg = EvalConfig(N=1000)
         r = hoffman_partition_relation((2, 2))
-        eval_relation(r, EvalConfig(N=1000), cache)
-        assert (2, 2) in cache and (4,) in cache
+        values = zeta_values(r.compositions(), cfg)
+        assert (2, 2) in values and (4,) in values
+        assert eval_relation(r, cfg, values) == eval_relation(r, cfg)
+        ones = {comp: EvalResult(1.0, 0.0) for comp in values}
+        assert eval_relation(r, cfg, ones) == abs(sum(float(c) for _, c in r.terms))
+
+
+# --- the suffix-trie walk against the per-composition recursion -----------
+#
+# The references below evaluate one composition at a time by the plain
+# recursion: per-level term arrays innermost first, each level multiplied
+# by the exclusive prefix sums cumsum(g[:-1]) of the level inside it.  The
+# walk shares suffixes but must reproduce them bit for bit.
+
+
+def _exclusive_nested(levels):
+    cur = levels[0]
+    for f in levels[1:]:
+        cur = f * np.concatenate(([0.0], np.cumsum(cur[:-1])))
+    return cur
+
+
+def _final(terms, compensated):
+    return math.fsum(terms.tolist()) if compensated else float(terms.sum())
+
+
+def zeta_reference(s, cfg):
+    n = np.arange(1, cfg.N + 1, dtype=np.float64) + float(cfg.x)
+    return _final(_exclusive_nested([n ** float(-sj) for sj in reversed(s)]),
+                  cfg.compensated)
+
+
+def mpl_reference(s, z, cfg):
+    n = np.arange(1, cfg.N + 1, dtype=np.float64)
+    shifted = n + float(cfg.x)
+    z = [complex(w) for w in z]
+    terms = _exclusive_nested([np.power(zj, n) * shifted ** float(-sj)
+                               for sj, zj in zip(reversed(s), reversed(z))])
+    total = complex(terms.sum())
+    return total.real if all(w.imag == 0 for w in z) else abs(total)
+
+
+def qmzv_reference(s, cfg):
+    q = float(cfg.q)
+    k = np.arange(1, cfg.K + 1, dtype=np.float64)
+    bracket = (1.0 - q**k) / (1.0 - q)
+    return _final(_exclusive_nested([q ** (k * (sj - 1)) / bracket**sj
+                                     for sj in reversed(s)]), cfg.compensated)
+
+
+@st.composite
+def composition_sets(draw):
+    """Admissible compositions built on a few shared suffixes."""
+    parts = st.integers(1, 4)
+    stems = draw(st.lists(st.lists(parts, max_size=3).map(tuple),
+                          min_size=1, max_size=3))
+    comps = []
+    for _ in range(draw(st.integers(1, 8))):
+        stem = draw(st.sampled_from(stems))
+        middle = tuple(draw(st.lists(parts, max_size=2)))
+        comps.append((draw(st.integers(2, 5)),) + middle + stem)
+    return comps
+
+
+class TestZetaValues:
+    @given(composition_sets(), st.integers(10, 300),
+           st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 2)]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_composition_recursion(self, comps, N, x, compensated):
+        cfg = EvalConfig(N=N, x=x, compensated=compensated)
+        got = zeta_values(comps, cfg)
+        assert list(got) == list(dict.fromkeys(comps))
+        for s in comps:
+            assert got[s].value == zeta_reference(s, cfg)
+            assert got[s] == zeta_num(s, cfg)
+
+    def test_divergent_refused(self):
+        with pytest.raises(InadmissibleError):
+            zeta_values([(2, 1), (1, 2)])
+
+    @pytest.mark.parametrize("s, z", [
+        ((2, 1), (0.5, 1)),
+        ((1, 2, 1), (0.3, -0.5, 0.9)),
+        ((3, 1, 1), (1, 1, 1)),
+        ((2, 1), (0.5, 1j)),
+        ((3,), (0.7j,)),
+        ((2, 2, 1), (0.4 + 0.3j, -1, 1j)),
+    ])
+    def test_mpl_bitwise(self, s, z):
+        cfg = EvalConfig(N=3000, x=Fraction(1, 4))
+        assert mpl_num(s, z, cfg).value == mpl_reference(s, z, cfg)
+
+    @pytest.mark.parametrize("s", [(2,), (3, 1), (2, 1, 1), (4, 2, 3, 1)])
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_qmzv_bitwise(self, s, compensated):
+        cfg = EvalConfig(K=500, q=Fraction(2, 3), compensated=compensated)
+        assert qmzv_num(s, cfg).value == qmzv_reference(s, cfg)
+
+
+def _traced_peak(fn):
+    fn()  # first call outside tracing, so lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWalkMemory:
+    N = 200_000
+    ARRAY = 8 * N
+    SLACK = 64 * 1024
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_single_chain_peak(self, compensated):
+        cfg = EvalConfig(N=self.N, compensated=compensated)
+        peak = _traced_peak(lambda: zeta_num((5, 4, 3, 2, 1), cfg))
+        assert peak <= 4 * self.ARRAY + self.SLACK
+
+    def test_batch_peak_bounded_by_depth(self):
+        comps = [
+            c for k in range(1, 5)
+            for c in itertools.product(range(1, 11), repeat=k)
+            if c[0] >= 2 and sum(c) <= 10
+        ]
+        assert len(comps) == 255
+        cfg = EvalConfig(N=self.N)
+        peak = _traced_peak(lambda: zeta_values(comps, cfg))
+        assert peak <= (4 + 3) * self.ARRAY
