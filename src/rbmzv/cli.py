@@ -9,6 +9,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
@@ -18,7 +19,6 @@ from . import identity_engine, mzv_calculus as mzv, numeric_eval, operator_galle
 from .coefficients import PolyQ, RatFuncQ
 from .letters import COMPOSITION
 from .mzv_calculus import (
-    InadmissibleError,
     Relation,
     composition_str,
     is_admissible,
@@ -44,9 +44,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj, ensure_ascii=False)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -133,28 +131,24 @@ def relation_text(rel: Relation) -> str:
 
 def cmd_eval(args) -> int:
     s = parse_composition(args.comp)
-    try:
-        if args.q is not None:
-            cfg = EvalConfig(N=args.N, q=Fraction(args.q), K=args.K)
-            res = numeric_eval.qmzv_num(s, cfg)
-            payload = {
-                "comp": composition_str(s),
-                "q": str(cfg.q),
-                "K": cfg.K,
-                **res.to_json(),
-            }
-        else:
-            cfg = EvalConfig(N=args.N, x=Fraction(args.x))
-            res = numeric_eval.zeta_num(s, cfg)
-            payload = {
-                "comp": composition_str(s),
-                "N": cfg.N,
-                "x": str(cfg.x),
-                **res.to_json(),
-            }
-    except InadmissibleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.q is not None:
+        cfg = EvalConfig(N=args.N, q=Fraction(args.q), K=args.K)
+        res = numeric_eval.qmzv_num(s, cfg)
+        payload = {
+            "comp": composition_str(s),
+            "q": str(cfg.q),
+            "K": cfg.K,
+            **res.to_json(),
+        }
+    else:
+        cfg = EvalConfig(N=args.N, x=Fraction(args.x))
+        res = numeric_eval.zeta_num(s, cfg)
+        payload = {
+            "comp": composition_str(s),
+            "N": cfg.N,
+            "x": str(cfg.x),
+            **res.to_json(),
+        }
     _emit(args, payload, f"{res.value:.17g} (tail <= {res.tail_bound:.3g})")
     return 0
 
@@ -425,7 +419,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, InadmissibleError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -401,12 +401,6 @@ class TruncSeries:
             self.order, [c * a for a in self.coeffs], self.one, self.mul
         )
 
-    def shift(self) -> "TruncSeries":
-        """Multiply by t."""
-        return TruncSeries(
-            self.order, [0 * self.one] + self.coeffs[:-1], self.one, self.mul
-        )
-
     def map(self, f) -> "TruncSeries":
         return TruncSeries(
             self.order, [f(a) for a in self.coeffs], self.one, self.mul

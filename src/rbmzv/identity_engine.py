@@ -72,6 +72,16 @@ def set_partitions(n: int) -> list[list[list[int]]]:
     return results
 
 
+def _signed_set_partitions(n: int):
+    """Yield (coef, blocks) over ``set_partitions(n)``, where coef is the
+    Bohnenblust-Spitzer weight (-1)^(n - #blocks) prod_B (|B| - 1)!."""
+    for blocks in set_partitions(n):
+        coef = (-1) ** (n - len(blocks))
+        for block in blocks:
+            coef *= math.factorial(len(block) - 1)
+        yield coef, blocks
+
+
 def _series_compare(name, params, lhs: TruncSeries, rhs: TruncSeries) -> IdentityReport:
     first_diff = None
     for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
@@ -161,28 +171,23 @@ def bohnenblust_spitzer_check(n: int) -> IdentityReport:
     for perm in itertools.permutations(letters):
         lhs = lhs + alg.nested_p(perm)
     rhs = alg.zero()
-    for blocks in set_partitions(n):
-        coef = Fraction((-1) ** (n - len(blocks)))
+    for coef, blocks in _signed_set_partitions(n):
         term = alg.one()
         for block in blocks:
-            coef *= math.factorial(len(block) - 1)
-            payload = sum(letters[i - 1] for i in block)
-            term = term * alg.p(alg.j(payload))
+            term = term * alg.p(alg.j(sum(letters[i - 1] for i in block)))
         rhs = rhs + coef * term
     return _element_compare("bohnenblust_spitzer", {"n": n}, lhs, rhs)
-
-
-def _check_prime(p: int):
-    if p not in (2, 3, 5, 7):
-        raise ValueError("p must be a prime in {2, 3, 5, 7}")
 
 
 def freshman_power(w: tuple, p: int, system=COMPOSITION) -> dict:
     """p-th power of the pure tensor 1 (x) w under the Sha product.
 
-    Returns the tail combination {word: integer coefficient}.
+    Returns the tail combination {word: integer coefficient}.  The unit
+    head multiplies trivially, so for ``COMPOSITION`` letters this is the
+    p-th stuffle power of w.
     """
-    _check_prime(p)
+    if p not in (2, 3, 5, 7):
+        raise ValueError("p must be a prime in {2, 3, 5, 7}")
     w = tuple(w)
     if not w:
         raise ValueError("word must be nonempty")
@@ -199,27 +204,24 @@ def freshman_power(w: tuple, p: int, system=COMPOSITION) -> dict:
     return out
 
 
-def congruence_check(w: tuple, p: int, system=COMPOSITION) -> IdentityReport:
-    """Check (a1 (x) ... (x) an)^p = a1^p (x) ... (x) an^p mod p."""
-    _check_prime(p)
-    w = tuple(w)
-    power = freshman_power(w, p, system)
-    # letter p-th power: p-fold letter product; additive systems give p*a
-    target = tuple(p * a for a in w)
-    bad = None
+def _mod_p_failure(power: dict, target: tuple, p: int) -> str | None:
+    """First coefficient of ``power`` that breaks power = target mod p, or None."""
     tc = power.get(target, 0)
     if tc % p != 1 % p:
-        bad = f"coefficient of target {target} is {tc}, not 1 mod {p}"
-    else:
-        for word in sorted(power):
-            if word == target:
-                continue
-            if power[word] % p != 0:
-                bad = (
-                    f"coefficient of {word} is {power[word]}, "
-                    f"not 0 mod {p}"
-                )
-                break
+        return f"coefficient of target {target} is {tc}, not 1 mod {p}"
+    for word in sorted(power):
+        if word != target and power[word] % p != 0:
+            return f"coefficient of {word} is {power[word]}, not 0 mod {p}"
+    return None
+
+
+def congruence_check(w: tuple, p: int, system=COMPOSITION) -> IdentityReport:
+    """Check (a1 (x) ... (x) an)^p = a1^p (x) ... (x) an^p mod p."""
+    power = freshman_power(w, p, system)
+    w = tuple(w)
+    # letter p-th power: p-fold letter product; additive systems give p*a
+    target = tuple(p * a for a in w)
+    bad = _mod_p_failure(power, target, p)
     return IdentityReport(
         name="congruence",
         params={"word": list(w), "p": p},

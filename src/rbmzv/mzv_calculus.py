@@ -6,16 +6,28 @@ A composition is a tuple of positive integers; it is admissible when its
 first part is >= 2.  A ZetaCombo is a dict composition -> coefficient.
 A Relation is a sum-to-zero combination of monomials, each monomial a
 sorted tuple of compositions standing for a product of zeta symbols.
+
+The Hoffman and Spitzer relations share one sum, the Bohnenblust-Spitzer
+formula over the set partitions of the exponent positions:
+
+    sum_sigma zeta(s_sigma) = sum_pi w(pi) prod_{B in pi} zeta(sum_{i in B} s_i),
+    w(pi) = (-1)^(n - #blocks) prod_B (|B| - 1)!.
+
+For equal exponents (k, ..., k) the left side is n! zeta(k, ..., k), so
+Spitzer's relation is the partition sum divided by n!.  The congruence
+generator takes zeta(s)^p from ``identity_engine.freshman_power``, the
+p-th Sha power of 1 (x) s, which for composition letters is the stuffle
+power.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import TruncSeries, series_exp
-from .identity_engine import set_partitions
+from .identity_engine import _mod_p_failure, _signed_set_partitions, freshman_power
 from .letters import COMPOSITION, QLETTERS, WORD, X0, X1
 from .tensor_algebra import _add_term, mixable_shuffle
 
@@ -111,16 +123,6 @@ def shuffle_zeta(a: Composition, b: Composition) -> ZetaCombo:
     return out
 
 
-def combo_mul(x: ZetaCombo, y: ZetaCombo) -> ZetaCombo:
-    """Product of zeta combinations expanded through the stuffle."""
-    out: ZetaCombo = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for c, cc in stuffle(a, b).items():
-                _add_term(out, c, ca * cb * cc)
-    return out
-
-
 @dataclass(frozen=True)
 class Relation:
     """A combination of zeta monomials asserted to sum to zero."""
@@ -183,86 +185,40 @@ def double_shuffle_relation(a: Composition, b: Composition) -> Relation:
     )
 
 
+def _add_partition_sum(terms: dict, s: tuple, scale):
+    """Add scale * sum_pi w(pi) prod_B zeta(sum_{i in B} s_i) into terms."""
+    for coef, blocks in _signed_set_partitions(len(s)):
+        mono = _mono(*((sum(s[i - 1] for i in block),) for block in blocks))
+        _add_term(terms, mono, scale * coef)
+
+
 def hoffman_partition_relation(s: tuple) -> Relation:
     """Permutation sum of zeta(s_sigma) vs the signed partition sum."""
-    n = len(s)
-    if not 2 <= n <= 5:
+    if not 2 <= len(s) <= 5:
         raise ValueError("need 2..5 exponents")
     if any(p < 2 for p in s):
         raise InadmissibleError("all exponents must be >= 2")
-    import itertools
-
     terms: dict = {}
-    for perm in itertools.permutations(range(n)):
-        _add_term(terms, _mono(tuple(s[i] for i in perm)), Fraction(1))
-    for blocks in set_partitions(n):
-        coef = Fraction((-1) ** (n - len(blocks)))
-        comps = []
-        for block in blocks:
-            coef *= math.factorial(len(block) - 1)
-            comps.append((sum(s[i - 1] for i in block),))
-        _add_term(terms, _mono(*comps), -coef)
+    for perm in itertools.permutations(s):
+        _add_term(terms, _mono(perm), Fraction(1))
+    _add_partition_sum(terms, s, -1)
     return Relation.from_dict(
         terms, f"hoffman({','.join(str(p) for p in s)})"
     )
 
 
-class _ZetaPoly:
-    """Polynomial in formal zeta symbols: dict monomial -> Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, c)
-        return _ZetaPoly(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, _ZetaPoly):
-            return self.__rmul__(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _add_term(out, _mono(*(m1 + m2)), c1 * c2)
-        return _ZetaPoly(out)
-
-    def __rmul__(self, scalar):
-        return _ZetaPoly({m: scalar * c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, _ZetaPoly):
-            return self.terms == other.terms
-        if not other:
-            return not self.terms
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
 def spitzer_zeta_relation(k: int, order: int) -> Relation:
     """zeta(k,...,k) (order copies) as a polynomial in zeta(k)..zeta(order*k).
 
-    Degree-``order`` coefficient of exp(sum_i (-1)^(i-1) zeta(ik) t^i / i).
+    The Bohnenblust-Spitzer sum of (k,)*order divided by order!: all
+    order! permutations of equal exponents give the same zeta(k,...,k).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
-    one = _ZetaPoly({(): Fraction(1)})
-    coeffs = [_ZetaPoly()]
-    for i in range(1, order + 1):
-        coeffs.append(
-            _ZetaPoly({_mono((i * k,)): Fraction((-1) ** (i - 1), i)})
-        )
-    expanded = series_exp(TruncSeries(order, coeffs, one))
     terms: dict = {_mono((k,) * order): Fraction(1)}
-    for m, c in expanded.coeffs[order].terms.items():
-        _add_term(terms, m, -c)
+    _add_partition_sum(terms, (k,) * order, Fraction(-1, math.factorial(order)))
     return Relation.from_dict(terms, f"spitzer(k={k},order={order})")
 
 
@@ -277,12 +233,7 @@ class CongruenceRelation:
 
     @property
     def holds(self) -> bool:
-        terms = dict(self.power)
-        if terms.get(self.target, 0) % self.p != 1 % self.p:
-            return False
-        return all(
-            c % self.p == 0 for m, c in terms.items() if m != self.target
-        )
+        return _mod_p_failure(dict(self.power), self.target, self.p) is None
 
     def to_json(self) -> dict:
         return {
@@ -298,11 +249,7 @@ class CongruenceRelation:
 
 def congruence_zeta_relation(s: Composition, p: int) -> CongruenceRelation:
     require_admissible(s)
-    if p not in (2, 3, 5, 7):
-        raise ValueError("p must be a prime in {2, 3, 5, 7}")
-    power: ZetaCombo = {s: 1}
-    for _ in range(p - 1):
-        power = combo_mul(power, {s: 1})
+    power = freshman_power(s, p)
     target = tuple(p * part for part in s)
     return CongruenceRelation(
         base=s,

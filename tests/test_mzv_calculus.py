@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from rbmzv.cli import _admissible_compositions
 from rbmzv.coefficients import ONE_MINUS_Q
 from rbmzv.letters import X0, X1
 from rbmzv.mzv_calculus import (
     CongruenceRelation,
     InadmissibleError,
     Relation,
-    combo_mul,
     comp_to_word,
     composition_str,
     congruence_zeta_relation,
@@ -146,15 +146,6 @@ class TestShuffleZeta:
             shuffle_zeta((1, 2), (2,))
 
 
-class TestComboMul:
-    def test_matches_stuffle_on_singletons(self):
-        assert combo_mul({(2,): 1}, {(3,): 1}) == stuffle((2,), (3,))
-
-    def test_bilinear(self):
-        got = combo_mul({(2,): 2}, {(3,): Fraction(1, 2)})
-        assert got == stuffle((2,), (3,))
-
-
 class TestRelation:
     def test_canonical_order_and_zero_dropped(self):
         r = Relation.from_dict(
@@ -206,7 +197,11 @@ def expand_monomial(mono):
     """Stuffle-expand a product of zeta symbols into single symbols."""
     combo = {mono[0]: 1}
     for comp in mono[1:]:
-        combo = combo_mul(combo, {comp: 1})
+        out = {}
+        for a, ca in combo.items():
+            for c, cc in stuffle(a, comp).items():
+                out[c] = out.get(c, 0) + ca * cc
+        combo = {c: v for c, v in out.items() if v}
     return combo
 
 
@@ -265,7 +260,9 @@ class TestSpitzerZeta:
             ((9,),): Fraction(-1, 3),
         }
 
-    @pytest.mark.parametrize("k,order", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)])
+    @pytest.mark.parametrize(
+        "k,order", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (4, 1)]
+    )
     def test_vanishes_under_stuffle_expansion(self, k, order):
         assert stuffle_residue(spitzer_zeta_relation(k, order)) == {}
 
@@ -296,6 +293,19 @@ class TestCongruenceZeta:
                 congruence_zeta_relation(s, p)
             return
         assert congruence_zeta_relation(s, p).holds
+
+    def test_power_is_the_stuffle_power(self):
+        # every (s, p) of the largest benchmark corpus build (weight 12, depth 5)
+        cases = [
+            (s, p)
+            for s in _admissible_compositions(12, 5)
+            for p in (2, 3)
+            if p * weight(s) <= 12
+        ]
+        assert len(cases) == 38
+        for s, p in cases:
+            rel = congruence_zeta_relation(s, p)
+            assert dict(rel.power) == expand_monomial((s,) * p), (s, p)
 
     def test_json_has_verdict(self):
         data = congruence_zeta_relation((2,), 2).to_json()
