@@ -33,35 +33,45 @@ RESIDUAL_TOL = 1e-4
 
 def canonical_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, float):
-        return f"{obj:.17g}"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ", ".join(
-            f"{canonical_json(str(k))}: {canonical_json(v)}" for k, v in items
-        ) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    # one encoder per call: json.dumps with a keyword builds one per string
+    encode_str = json.JSONEncoder(ensure_ascii=False).encode
+
+    def render(obj) -> str:
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, float):
+            return f"{obj:.17g}"
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, str):
+            return encode_str(obj)
+        if isinstance(obj, (list, tuple)):
+            return "[" + ", ".join(render(v) for v in obj) + "]"
+        if isinstance(obj, dict):
+            items = sorted(obj.items())
+            return "{" + ", ".join(
+                f"{encode_str(str(k))}: {render(v)}" for k, v in items
+            ) + "}"
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    return render(obj)
+
+
+def _parse_fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed {what} {text!r}") from None
 
 
 def _parse_weight(text: str):
     if text == "1-q":
         return PolyQ((1, -1))
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed weight {text!r}") from None
+    return _parse_fraction(text, "weight")
 
 
 def _emit(args, payload: dict, text: str):
@@ -132,7 +142,7 @@ def relation_text(rel: Relation) -> str:
 def cmd_eval(args) -> int:
     s = parse_composition(args.comp)
     if args.q is not None:
-        cfg = EvalConfig(N=args.N, q=Fraction(args.q), K=args.K)
+        cfg = EvalConfig(N=args.N, q=_parse_fraction(args.q, "q"), K=args.K)
         res = numeric_eval.qmzv_num(s, cfg)
         payload = {
             "comp": composition_str(s),
@@ -141,7 +151,7 @@ def cmd_eval(args) -> int:
             **res.to_json(),
         }
     else:
-        cfg = EvalConfig(N=args.N, x=Fraction(args.x))
+        cfg = EvalConfig(N=args.N, x=_parse_fraction(args.x, "x"))
         res = numeric_eval.zeta_num(s, cfg)
         payload = {
             "comp": composition_str(s),

@@ -11,11 +11,22 @@ and the value is sum_n g_1(n).  g_j depends only on the suffix
 (s_j, ..., s_k), so ``zeta_values`` evaluates a whole set of compositions
 in one depth-first walk over the trie of their suffixes (``_walk``, the
 only prefix-sum kernel; ``mpl_num`` and ``qmzv_num`` walk a single chain).
-Each distinct suffix costs one term array f_j, one multiply by its
-parent's prefix sums and, only if a longer suffix extends it, one cumsum;
-each requested composition then costs one sum.  A node's prefix sums are
-freed once its last child has read them, so at most (max depth + 3)
-length-N arrays are live, however many compositions share the walk.
+
+The walk goes block by block over n = 1..N.  The blocks are the leaves of
+numpy's pairwise-summation tree cut at ``_LEAF`` elements: numpy splits a
+run of n float64 after h - h % 8 elements (h = n // 2) and a run of n
+complex128 after (n - n % 8) // 2.  In each block the shared inputs (n + x;
+for q-MZVs k and the q-bracket) and each distinct key's term block f_j are
+computed once; every trie node then costs one multiply by its parent's
+prefix sums and, only if a longer suffix extends it, one cumsum, and each
+requested composition one sum.  The bits are those of whole-array
+arithmetic: an inner node carries its running prefix sum from block to
+block and starts its block's cumsum from it, which is the order of one
+long cumsum, and a value adds its block sums back along numpy's tree,
+which is the order of ``terms.sum()`` (``compensated`` adds exact block
+sums by ``fsum``, which any order gives).  No length-N array is allocated:
+at most (max depth + distinct keys + a few) blocks are live, since a
+node's prefix block is freed once its last child has read it.
 The naive O(N^k) loop in exact rationals (``nested_sum_oracle``) is the
 ground truth it is tested against.
 """
@@ -42,6 +53,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.N < 10:
             raise ValueError("truncation N must be >= 10")
+        if self.K < 1:
+            raise ValueError("truncation K must be >= 1")
         if not 0 < self.q < 1:
             raise ValueError("q must lie in (0, 1)")
         if self.x < 0:
@@ -57,19 +70,83 @@ class EvalResult:
         return {"value": self.value, "tail_bound": self.tail_bound}
 
 
-def _final_sum(terms: np.ndarray, compensated: bool) -> float:
-    if compensated:
-        return math.fsum(terms)  # no list of N floats: fsum is exact in any order
-    return float(terms.sum())
+#: Elements per block of the walk, where it stops cutting numpy's
+#: pairwise-sum tree.  Measured on a 2-CPU Xeon with numpy 2.4.6, two runs
+#: each, at leaf sizes 2^12 .. 2^17: the corpus's 12 builds' walks
+#: (N = 1e5) took 2.4, 1.8-1.9, 1.5-1.7, 1.65-1.9, 1.8-2.3 and 2.6-3.0 s,
+#: zeta (2,2,2,2) at N = 1e7 took 375, 300, 255, 220-250, 255-275 and
+#: 290-330 ms.  Smaller blocks pay numpy's per-call cost more often;
+#: larger ones fall out of the cache.  Every size gives the same bits.
+_LEAF = 1 << 15
 
 
-def _walk(chains, level, total) -> dict:
-    """``{chain: total(g_1)}`` for each chain by one walk of the suffix trie.
+def _split(n: int, dtype) -> int:
+    """Where numpy's pairwise sum splits a run of n elements: its kernel
+    halves the run rounded down to its 8-way unroll, counted in float64
+    components, so a complex128 run splits after (n - n % 8) // 2."""
+    if dtype == np.complex128:
+        return (n - n % 8) // 2
+    h = n // 2
+    return h - h % 8
 
-    A chain lists the per-depth keys outermost first; ``level(key)`` returns
-    a fresh term array f for one key.  Each trie node's summands are its own
-    f times the exclusive prefix sums of its parent (the suffix one key
-    shorter), multiplied into f so no array another node reads is written.
+
+def _leaves(n: int, dtype, lo: int = 0) -> list:
+    """The ``[lo, hi)`` runs, in order, that numpy's pairwise sum over n
+    elements reaches once a run is at most ``_LEAF`` long."""
+    if n <= _LEAF:
+        return [(lo, lo + n)]
+    h = _split(n, dtype)
+    return _leaves(h, dtype, lo) + _leaves(n - h, dtype, lo + h)
+
+
+def _tree_sum(sums: list, n: int, dtype):
+    """Add the leaves' sums back along the tree ``_leaves`` cut them from;
+    this is ``terms.sum()`` of the whole array, bit for bit."""
+    sums = iter(sums)
+
+    def node(n):
+        if n <= _LEAF:
+            return next(sums)
+        h = _split(n, dtype)
+        return node(h) + node(n - h)
+
+    return node(n)
+
+
+def _exact_parts(block: np.ndarray) -> list:
+    """Floats whose exact sum is the block's: ``fsum`` of the remainder
+    until it is 0 (or not finite), so ``fsum`` of every block's parts is
+    ``fsum`` of the whole array."""
+    terms = block.tolist()
+    parts = [math.fsum(terms)]
+    while parts[-1] and math.isfinite(parts[-1]):
+        terms.append(-parts[-1])
+        parts.append(math.fsum(terms))
+    return parts
+
+
+def _walk(chains, size: int, dtype, block_terms, compensated: bool = False) -> dict:
+    """``{chain: sum_n g_1(n)}`` for each chain by one walk of the suffix trie.
+
+    A chain lists the per-depth keys outermost first.  Block order: the
+    leaves of numpy's pairwise-sum tree over [0, size) (``_leaves``, split
+    by ``_split`` for ``dtype``), first to last.  ``block_terms(lo, hi)``
+    computes a block's shared inputs once and returns ``level``, mapping a
+    key to its term block f, which is computed once per distinct key.  The
+    trie is then visited depth-first: a node's summands g are f times its
+    parent's exclusive prefix sums, in a fresh array, so no block another
+    node reads is written.
+
+    Carry rule: an inner node carries its running prefix sum across blocks
+    and its block cumsum starts from it (``carry + g[0]`` first, as one
+    whole-array cumsum adds); the first block has none, so a -0.0 stays.
+    A requested chain keeps one sum per block, added back along the tree,
+    numpy's own order for ``terms.sum()`` (``_tree_sum``); with
+    ``compensated``, one exact float expansion per block (``_exact_parts``),
+    added by one ``fsum``.  Hence every value is bit-identical to
+    whole-array arithmetic.  No length-``size`` array is allocated: at most
+    max depth + distinct keys + the shared inputs + 1 blocks are live, as a
+    node's prefix block is freed once its last child has read it.
     """
     trie: dict = {}
     for chain in chains:
@@ -77,26 +154,56 @@ def _walk(chains, level, total) -> dict:
         for key in reversed(chain):
             node = node.setdefault(key, {})
     wanted = set(chains)
-    values = {}
-    # (suffix, its subtrie, the parent's prefix sums); the stack's entries
-    # are a node's only hold on its parent's sums
-    stack = [((key,), sub, None) for key, sub in reversed(trie.items())]
+    # the trie in depth-first preorder: (key, parent's index or -1, is the
+    # parent's last child, the suffix if it is a requested chain, inner)
+    nodes = []
+    stack = [((key,), sub, -1, False) for key, sub in reversed(trie.items())]
     while stack:
-        suffix, sub, prefix = stack.pop()
-        g = level(suffix[0])
-        if prefix is not None:
-            np.multiply(g, prefix, out=g)
-        prefix = None  # frees the parent's sums once its last child has read them
-        if suffix in wanted:
-            values[suffix] = total(g)
-        if sub:
-            prefix = np.empty_like(g)
-            prefix[:1] = 0
-            np.cumsum(g[:-1], out=prefix[1:])
-            stack.extend(((key,) + suffix, child, prefix)
-                         for key, child in reversed(sub.items()))
-        del g, prefix  # before the next level() allocates
-    return values
+        suffix, sub, parent, last = stack.pop()
+        here = len(nodes)
+        nodes.append((suffix[0], parent, last, suffix if suffix in wanted else None, bool(sub)))
+        stack.extend(((key,) + suffix, child, here, i == 0)
+                     for i, (key, child) in enumerate(reversed(sub.items())))
+    sums = {chain: [] for chain in wanted}
+    carries = [0.0] * len(nodes)
+    for lo, hi in _leaves(size, dtype):
+        level = block_terms(lo, hi)
+        terms = {}
+        # an inner node's buf: buf[:-1] its exclusive prefix sums, buf[-1] its next carry
+        prefixes = {}
+        for i, (key, parent, last, chain, inner) in enumerate(nodes):
+            f = terms.get(key)
+            if f is None:
+                f = terms[key] = level(key)
+            if inner:  # g is written where its cumsum goes
+                buf = np.empty(hi - lo + 1, dtype)
+                g = buf[1:]
+            else:
+                buf = g = None
+            if parent >= 0:
+                g = np.multiply(f, prefixes[parent][:-1], out=g)
+                if last:
+                    del prefixes[parent]  # its last child has read it
+            elif inner:
+                g[:] = f
+            else:
+                g = f
+            if chain is not None:
+                if compensated:
+                    sums[chain].extend(_exact_parts(g))
+                else:
+                    sums[chain].append(g.sum())
+            if inner:
+                buf[0] = carries[i]
+                if lo:
+                    g[0] += buf[0]
+                np.cumsum(g, out=g)
+                carries[i] = buf[-1]
+                prefixes[i] = buf
+            del f, g, buf  # a leaf's summands go before the next node allocates
+    if compensated:
+        return {chain: math.fsum(parts) for chain, parts in sums.items()}
+    return {chain: _tree_sum(parts, size, dtype).item() for chain, parts in sums.items()}
 
 
 def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
@@ -105,9 +212,13 @@ def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
     comps = [tuple(s) for s in comps]
     for s in comps:
         require_admissible(s)
-    n = np.arange(1, cfg.N + 1, dtype=np.float64) + float(cfg.x)
-    values = _walk(comps, lambda sj: n ** float(-sj),
-                   lambda terms: _final_sum(terms, cfg.compensated))
+    x = float(cfg.x)
+
+    def block_terms(lo, hi):
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64) + x
+        return lambda sj: n ** float(-sj)
+
+    values = _walk(comps, cfg.N, np.float64, block_terms, cfg.compensated)
     log_n = math.log(cfg.N)
     return {
         s: EvalResult(
@@ -139,12 +250,17 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
                          "or z1 = 1 with s1 >= 2")
     if any(abs(w) > 1 for w in z[1:]):
         raise ValueError("inner letters need |z| <= 1")
-    n = np.arange(1, cfg.N + 1, dtype=np.float64)
-    shifted = n + float(cfg.x)
+    x = float(cfg.x)
+
+    def block_terms(lo, hi):
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        shifted = n + x
+        z_pow = {w: np.power(w, n) for w in set(z)}
+        s_pow = {sj: shifted ** float(-sj) for sj in set(s)}
+        return lambda key: z_pow[key[1]] * s_pow[key[0]]
+
     chain = tuple(zip(s, z))  # one key (s_j, z_j) per depth
-    total = _walk((chain,),
-                  lambda key: np.power(key[1], n) * shifted ** float(-key[0]),
-                  lambda terms: complex(terms.sum()))[chain]
+    total = _walk((chain,), cfg.N, np.complex128, block_terms)[chain]
     value = total.real if all(w.imag == 0 for w in z) else abs(total)
     r = abs(z[0])
     if r < 1:
@@ -160,11 +276,14 @@ def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     cfg = cfg or EvalConfig()
     require_admissible(s)
     q = float(cfg.q)
-    k = np.arange(1, cfg.K + 1, dtype=np.float64)
-    bracket = (1.0 - q**k) / (1.0 - q)
+
+    def block_terms(lo, hi):
+        k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        bracket = (1.0 - q**k) / (1.0 - q)
+        return lambda sj: q ** (k * (sj - 1)) / bracket**sj
+
     chain = tuple(s)
-    value = _walk((chain,), lambda sj: q ** (k * (sj - 1)) / bracket**sj,
-                  lambda terms: _final_sum(terms, cfg.compensated))[chain]
+    value = _walk((chain,), cfg.K, np.float64, block_terms, cfg.compensated)[chain]
     tail = q ** (cfg.K * (s[0] - 1)) * cfg.K * (1.0 - q) ** sum(s)
     return EvalResult(value=value, tail_bound=tail)
 

@@ -159,6 +159,22 @@ class TestEval:
         assert code == 2
         assert "divergent" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "1/0"), ("--x", "1/0"), ("--q", "abc"), ("--x", "abc"),
+    ])
+    def test_malformed_fraction(self, capsys, flag, value):
+        code, out, err = run(capsys, "eval", "--comp", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: malformed {flag[2:]} {value!r}" in err
+
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_truncation_k_positive(self, capsys, K):
+        code, out, err = run(capsys, "eval", "--comp", "2", "--q", "1/2", "--K", K)
+        assert code == 2
+        assert out == ""
+        assert "error: truncation K must be >= 1" in err
+
     def test_env_default_n(self, capsys, monkeypatch):
         monkeypatch.setenv("RBX_DEFAULT_N", "500")
         code, out, _ = run(capsys, "eval", "--comp", "2")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbmzv.mzv_calculus import (
@@ -26,6 +26,7 @@ from rbmzv.numeric_eval import (
     zeta_num,
     zeta_values,
 )
+from rbmzv.numeric_eval import _LEAF, _leaves, _tree_sum, _walk
 
 
 class TestEvalConfig:
@@ -40,6 +41,11 @@ class TestEvalConfig:
             EvalConfig(q=Fraction(3, 2))
         with pytest.raises(ValueError):
             EvalConfig(x=Fraction(-1))
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_truncation_k_positive(self, K):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            EvalConfig(K=K)
 
 
 class TestZetaNum:
@@ -259,10 +265,25 @@ def composition_sets(draw):
     return comps
 
 
+#: N or K past three leaves of the block walk, with a ragged last block
+MULTI_BLOCK = 3 * _LEAF + 5
+SHARED_SUFFIXES = [(2,), (3, 1), (2, 1, 1), (4, 2, 1), (2, 2, 1, 1), (5, 1)]
+MPL_CASES = [
+    ((2, 1), (0.5, 1)),
+    ((1, 2, 1), (0.3, -0.5, 0.9)),
+    ((3, 1, 1), (1, 1, 1)),
+    ((2, 1), (0.5, 1j)),
+    ((3,), (0.7j,)),
+    ((2, 2, 1), (0.4 + 0.3j, -1, 1j)),
+]
+
+
 class TestZetaValues:
     @given(composition_sets(), st.integers(10, 300),
            st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 2)]),
            st.booleans())
+    @example(SHARED_SUFFIXES, MULTI_BLOCK, Fraction(1, 3), False)
+    @example(SHARED_SUFFIXES, MULTI_BLOCK, Fraction(0), True)
     @settings(max_examples=60, deadline=None)
     def test_equals_per_composition_recursion(self, comps, N, x, compensated):
         cfg = EvalConfig(N=N, x=x, compensated=compensated)
@@ -276,23 +297,80 @@ class TestZetaValues:
         with pytest.raises(InadmissibleError):
             zeta_values([(2, 1), (1, 2)])
 
-    @pytest.mark.parametrize("s, z", [
-        ((2, 1), (0.5, 1)),
-        ((1, 2, 1), (0.3, -0.5, 0.9)),
-        ((3, 1, 1), (1, 1, 1)),
-        ((2, 1), (0.5, 1j)),
-        ((3,), (0.7j,)),
-        ((2, 2, 1), (0.4 + 0.3j, -1, 1j)),
+    @pytest.mark.parametrize("s, z, N", [
+        pytest.param(s, z, N, id=f"s{i}-z{i}" + ("" if N == 3000 else f"-N{N}"))
+        for N in (3000, MULTI_BLOCK) for i, (s, z) in enumerate(MPL_CASES)
     ])
-    def test_mpl_bitwise(self, s, z):
-        cfg = EvalConfig(N=3000, x=Fraction(1, 4))
+    def test_mpl_bitwise(self, s, z, N):
+        cfg = EvalConfig(N=N, x=Fraction(1, 4))
         assert mpl_num(s, z, cfg).value == mpl_reference(s, z, cfg)
 
     @pytest.mark.parametrize("s", [(2,), (3, 1), (2, 1, 1), (4, 2, 3, 1)])
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_qmzv_bitwise(self, s, compensated):
-        cfg = EvalConfig(K=500, q=Fraction(2, 3), compensated=compensated)
+    @pytest.mark.parametrize("compensated, K", [
+        pytest.param(c, K, id=str(c) + ("" if K == 500 else f"-K{K}"))
+        for K in (500, MULTI_BLOCK) for c in (False, True)
+    ])
+    def test_qmzv_bitwise(self, s, compensated, K):
+        cfg = EvalConfig(K=K, q=Fraction(2, 3), compensated=compensated)
         assert qmzv_num(s, cfg).value == qmzv_reference(s, cfg)
+
+
+def _wide_random(rng, n, dtype):
+    """Random terms of both signs over 2^-60..2^60, so that any change in
+    the order of additions changes the bits."""
+    a = rng.standard_normal(n) * np.exp2(rng.integers(-60, 61, n))
+    if dtype is np.complex128:
+        a = a + 1j * rng.standard_normal(n) * np.exp2(rng.integers(-60, 61, n))
+    return a
+
+
+class TestBlockWalk:
+    """The walk sums each leaf of numpy's pairwise-summation tree on its own
+    and adds the leaf sums back along that tree, and carries each prefix sum
+    across blocks; its values equal whole-array arithmetic only while numpy
+    reduces in this order."""
+
+    @given(st.integers(1, 8), st.integers(-24, 24),
+           st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_leaf_sums_rebuild_numpy_sum(self, leaves, offset, dtype, seed):
+        n = max(1, leaves * _LEAF + offset)
+        a = _wide_random(np.random.default_rng(seed), n, dtype)
+        blocks = _leaves(n, a.dtype)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(0 < hi - lo <= _LEAF for lo, hi in blocks)
+        got = _tree_sum([a[lo:hi].sum() for lo, hi in blocks], n, a.dtype)
+        assert got == a.sum(), (
+            f"numpy {np.__version__} no longer sums {a.dtype} along the pairwise "
+            "tree that numeric_eval._split describes; the block walk's values "
+            "would stop matching whole-array sums")
+
+    @given(st.integers(1, 4), st.integers(-24, 24),
+           st.sampled_from([(np.float64, False), (np.float64, True), (np.complex128, False)]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_walk_matches_whole_array_arithmetic(self, leaves, offset, kind, seed):
+        # arbitrary terms: unlike zeta's, late blocks matter to the values,
+        # so a prefix sum off by one rounding shows in them
+        dtype, compensated = kind
+        n = max(1, leaves * _LEAF + offset)
+        rng = np.random.default_rng(seed)
+        terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
+        chains = [("a", "b", "c"), ("b", "c"), ("c", "b", "c"), ("a",)]
+        got = _walk(chains, n, np.dtype(dtype),
+                    lambda lo, hi: lambda key: terms[key][lo:hi].copy(), compensated)
+        for chain in chains:
+            whole = terms[chain[-1]]
+            for key in reversed(chain[:-1]):
+                prefix = np.zeros_like(whole)
+                np.cumsum(whole[:-1], out=prefix[1:])
+                # f times prefix, in this operand order: complex products are
+                # not bitwise commutative, and ``f * <temporary>`` lets numpy
+                # reuse the temporary as the output with the operands swapped
+                whole = np.multiply(terms[key], prefix)
+            want = _final(whole, compensated) if dtype is np.float64 else complex(whole.sum())
+            assert got[chain] == want, chain
 
 
 def _traced_peak(fn):
@@ -326,3 +404,10 @@ class TestWalkMemory:
         cfg = EvalConfig(N=self.N)
         peak = _traced_peak(lambda: zeta_values(comps, cfg))
         assert peak <= (4 + 3) * self.ARRAY
+
+    def test_peak_below_one_array(self):
+        # blocks of at most _LEAF elements: a few of them, never one of length N
+        N = 2_000_000
+        cfg = EvalConfig(N=N)
+        peak = _traced_peak(lambda: zeta_num((2, 2, 2, 2), cfg))
+        assert peak < 8 * N
