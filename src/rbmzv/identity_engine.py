@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .coefficients import TruncSeries, series_exp, series_log1p
 from .letters import COMPOSITION, MONOMIAL
-from .tensor_algebra import ShaAlgebra, ShaElement, _add_term
+from .tensor_algebra import ShaAlgebra, ShaElement, _msh_power
 
 _PRIMES = (2, 3, 5, 7, 11)
 
@@ -183,35 +183,28 @@ def freshman_power(w: tuple, p: int, system=COMPOSITION) -> dict:
     """p-th power of the pure tensor 1 (x) w under the Sha product.
 
     Returns the tail combination {word: integer coefficient}.  The unit
-    head multiplies trivially, so for ``COMPOSITION`` letters this is the
-    p-th stuffle power of w.
+    head multiplies trivially, so this is the weight-1 quasi-shuffle of p
+    copies of w (for ``COMPOSITION`` letters the p-th stuffle power),
+    computed in one pass by ``_msh_power``.
     """
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be a prime in {2, 3, 5, 7}")
     w = tuple(w)
     if not w:
         raise ValueError("word must be nonempty")
-    alg = ShaAlgebra(system, 1)
-    x = alg.pure(None, w)
-    power = x
-    for _ in range(p - 1):
-        power = power * x
-    out: dict = {}
-    for (h, t), c in power.terms.items():
-        if h is not None:
-            raise AssertionError("unit-head power produced a letter head")
-        _add_term(out, t, c)
-    return out
+    return _msh_power(system, w, p)
 
 
 def _mod_p_failure(power: dict, target: tuple, p: int) -> str | None:
-    """First coefficient of ``power`` that breaks power = target mod p, or None."""
+    """The target's coefficient if it breaks power = target mod p, else the
+    coefficient of the least other word that does, or None."""
     tc = power.get(target, 0)
     if tc % p != 1 % p:
         return f"coefficient of target {target} is {tc}, not 1 mod {p}"
-    for word in sorted(power):
-        if word != target and power[word] % p != 0:
-            return f"coefficient of {word} is {power[word]}, not 0 mod {p}"
+    bad = [w for w, c in power.items() if w != target and c % p != 0]
+    if bad:
+        word = min(bad)
+        return f"coefficient of {word} is {power[word]}, not 0 mod {p}"
     return None
 
 

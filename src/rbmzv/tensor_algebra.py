@@ -12,10 +12,17 @@ The mixable shuffle, the quasi-shuffle (its weight-1 case) and the Sha(A)
 product share one recursion, ``_msh``.  Its memo is created by each
 top-level product and lives only for that product, so it is keyed on the
 suffix pair alone and can never return a result computed for another
-letter system or weight.
+letter system or weight.  The p-th Sha power of one pure tensor has its own
+recursion, ``_msh_power``: its p copies of one word are interchangeable, so
+its memo (again per call) is keyed on the multiset of their positions.
+``_msh`` stays the kernel for two words, because a generic p-ary kernel
+ran that p = 2 case 1.5 to 2.5 times slower.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from .letters import LetterSystem
 
@@ -94,6 +101,61 @@ def _msh(system, a, b, lam, memo):
         del out[nw]
     memo[key] = out
     return out
+
+
+def _msh_power(system, word, p):
+    """Weight-1 quasi-shuffle of p copies of ``word``: the p-ary recursion.
+
+    The copies are interchangeable, so a state is the multiset of their
+    positions, kept as counts c[i] of copies at position i < n (the others
+    are done).  A step advances j[i] <= c[i] copies from each position i,
+    at least one in all, with multiplicity prod C(c[i], j[i]); their
+    letters merge by the letter product.  The child state is built from
+    the parent's counts, so a copy moved into position i + 1 is not moved
+    again in the same step.  The memo is local to the call.
+    """
+    n = len(word)
+    memo: dict = {}
+
+    def merged(js):
+        acc = {None: 1}
+        for i, j in enumerate(js):
+            for _ in range(j):
+                nxt: dict = {}
+                for x, c in acc.items():
+                    for pc, y in _unit_product(system, x, word[i]):
+                        _add_term(nxt, y, c * pc)
+                acc = nxt
+        return acc.items()
+
+    def rec(counts):
+        if not any(counts):
+            return {(): 1}
+        hit = memo.get(counts)
+        if hit is not None:
+            return hit
+        out: dict = {}
+        get = out.get
+        for js in itertools.product(*[range(c + 1) for c in counts]):
+            if not any(js):
+                continue
+            mult = math.prod(map(math.comb, counts, js))
+            child = tuple(
+                counts[i] - js[i] + (js[i - 1] if i else 0) for i in range(n)
+            )
+            tail = rec(child)
+            for x, pc in merged(js):
+                coef = mult * pc
+                for w, c in tail.items():
+                    nw = (x,) + w
+                    v = get(nw)
+                    out[nw] = coef * c if v is None else v + coef * c
+        for nw in [w for w, v in out.items() if not v]:
+            del out[nw]
+        memo[counts] = out
+        return out
+
+    return rec((p,) + (0,) * (n - 1))
 
 
 def _multiset_perms(counts):

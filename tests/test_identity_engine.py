@@ -4,6 +4,7 @@ import pytest
 
 from rbmzv import ShaAlgebra
 from rbmzv.identity_engine import (
+    _mod_p_failure,
     bohnenblust_spitzer_check,
     congruence_check,
     exp_star_log_check,
@@ -11,7 +12,7 @@ from rbmzv.identity_engine import (
     set_partitions,
     spitzer_check,
 )
-from rbmzv.letters import COMPOSITION, MONOMIAL
+from rbmzv.letters import COMPOSITION, MONOMIAL, QLETTERS
 
 
 def bell_numbers(n):
@@ -110,6 +111,26 @@ class TestBohnenblustSpitzer:
             bohnenblust_spitzer_check(6)
 
 
+def sha_power_reference(w, p, system):
+    """(1 (x) w)^p by p - 1 binary Sha products, as a tail combination."""
+    alg = ShaAlgebra(system, 1)
+    x = alg.pure(None, w)
+    power = x
+    for _ in range(p - 1):
+        power = power * x
+    assert all(h is None for h, _ in power.terms)
+    return {t: c for (_, t), c in power.terms.items()}
+
+
+# p in {2, 3, 5} on words of length <= 2; (1, 1, 2) only up to p = 3, where
+# the repeated-product reference still takes milliseconds
+SHORT_POWERS = [
+    (p, w)
+    for p in (2, 3, 5)
+    for w in [(1,), (3,), (2, 2), (2, 3), (3, 1)] + ([(1, 1, 2)] if p < 5 else [])
+]
+
+
 class TestFreshmanCongruence:
     def test_square_of_single_monomial(self):
         # (1 (x) a)^2 = 2 (1 (x) a (x) a) + 1 (x) a^2
@@ -141,3 +162,36 @@ class TestFreshmanCongruence:
         for p in (2, 3):
             for w in [(1,), (2,), (1, 2)]:
                 assert congruence_check(w, p, MONOMIAL).equal
+
+    @pytest.mark.parametrize("system", [COMPOSITION, MONOMIAL])
+    @pytest.mark.parametrize("p, w", SHORT_POWERS)
+    def test_power_equals_repeated_product(self, system, p, w):
+        assert freshman_power(w, p, system) == sha_power_reference(w, p, system)
+
+    @pytest.mark.parametrize("w", [(1,), (2,), (5,)])
+    def test_seventh_power_of_a_letter(self, w):
+        for system in (COMPOSITION, QLETTERS):
+            assert freshman_power(w, 7, system) == sha_power_reference(w, 7, system)
+
+    @pytest.mark.parametrize("p, w", [
+        (2, (2, 1)), (2, (2, 2)), (3, (2, 2)), (3, (1, 3)), (5, (2,)),
+    ])
+    def test_q_letters_power_equals_repeated_product(self, p, w):
+        got = freshman_power(w, p, QLETTERS)
+        assert got == sha_power_reference(w, p, QLETTERS)
+
+    @pytest.mark.parametrize("w, terms", [((2, 3), 268032), ((2, 1), 130624)])
+    def test_seventh_power_of_a_pair(self, w, terms):
+        assert congruence_check(w, 7).equal
+        assert len(freshman_power(w, 7)) == terms
+
+    def test_mod_p_failure_reports_sorted_first_word(self):
+        # two failing words, inserted in the reverse of their sorted order
+        power = {(4,): 4, (2, 2): 1, (1, 2): 2, (3,): 3}
+        assert _mod_p_failure(power, (4,), 3) == (
+            "coefficient of (1, 2) is 2, not 0 mod 3"
+        )
+        assert _mod_p_failure(power, (3,), 3) == (
+            "coefficient of target (3,) is 3, not 1 mod 3"
+        )
+        assert _mod_p_failure({(4,): 4, (2, 2): 3}, (4,), 3) is None

@@ -219,7 +219,8 @@ class TestEvalRelation:
 def _exclusive_nested(levels):
     cur = levels[0]
     for f in levels[1:]:
-        cur = f * np.concatenate(([0.0], np.cumsum(cur[:-1])))
+        # f times prefix, in _walk's operand order (see TestBlockWalk)
+        cur = np.multiply(f, np.concatenate(([0.0], np.cumsum(cur[:-1]))))
     return cur
 
 
