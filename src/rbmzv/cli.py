@@ -9,6 +9,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -196,6 +197,8 @@ def _rand_seq(rng, n):
 
 
 def _verify_zrb(rng, window=50, trials=5) -> bool:
+    if window < 1:
+        raise ValueError("window must be >= 1")
     for _ in range(trials):
         f = _rand_seq(rng, window)
         g = _rand_seq(rng, window)
@@ -275,7 +278,9 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
     for n in (2, 3):
         if n > max_depth:
             continue
-        for s in _sorted_tuples(n, max_weight):
+        for s in itertools.combinations_with_replacement(range(2, max_weight + 1), n):
+            if sum(s) > max_weight:
+                continue
             relations.append((
                 mzv.hoffman_partition_relation(s),
                 "hoffman",
@@ -328,30 +333,13 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
     return entries
 
 
-def _sorted_tuples(n, max_weight):
-    """Nondecreasing n-tuples with entries >= 2 and bounded sum."""
-    out = []
-
-    def extend(prefix, lo, remaining):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for part in range(lo, remaining - 2 * (n - len(prefix) - 1) + 1):
-            prefix.append(part)
-            extend(prefix, part, remaining - part)
-            prefix.pop()
-
-    extend([], 2, max_weight)
-    return sorted(out)
-
-
 def cmd_corpus(args) -> int:
     cfg = EvalConfig(N=args.N)
-    entries = build_corpus(args.max_weight, args.max_depth, cfg)
-    lines = [canonical_json(e) for e in entries]
+    # opened first, so an unwritable path fails before the build runs
     with open(args.out, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        entries = build_corpus(args.max_weight, args.max_depth, cfg)
+        for e in entries:
+            fh.write(canonical_json(e) + "\n")
     bad = [e for e in entries if not e["verified"]]
     print(f"wrote {len(entries)} entries to {args.out}; "
           f"{len(bad)} failed verification")
@@ -429,7 +417,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -115,15 +115,16 @@ def _element_compare(name, params, lhs: ShaElement, rhs: ShaElement) -> Identity
     )
 
 
-def spitzer_check(order: int, weight=1) -> IdentityReport:
-    """exp(P(log(1 + a t))) = sum_i t^i 1 (x) a (x) ... (x) a in Sha(Q[a]).
+def spitzer_check(order: int) -> IdentityReport:
+    """exp(P(log(1 + a t))) = sum_i t^i 1 (x) a (x) ... (x) a in Sha(Q[a])
+    at weight 1.
 
     The series log(1 + a t) has t^i coefficient (-1)^(i-1)/i * a^i; P is
     applied to the series coefficientwise.
     """
     if not 1 <= order <= 8:
         raise ValueError("order must be in 1..8")
-    alg = ShaAlgebra(MONOMIAL, weight)
+    alg = ShaAlgebra(MONOMIAL, 1)
     one = alg.one()
     log_coeffs = [alg.zero()]
     for i in range(1, order + 1):

@@ -2,7 +2,7 @@
 letters, polylogarithm letters and monomial letters.
 
 A letter is a hashable payload; a system supplies the (commutative,
-associative) letter product, the filtration degree and text rendering.
+associative) letter product and text rendering.
 The product returns a list of (coefficient, payload) pairs, empty for the
 zero product.
 """
@@ -17,9 +17,6 @@ class LetterSystem:
     zero_product: bool = False
 
     def product(self, x, y):
-        raise NotImplementedError
-
-    def degree(self, payload) -> int:
         raise NotImplementedError
 
     def letter_str(self, payload) -> str:
@@ -40,16 +37,13 @@ class CompositionLetters(LetterSystem):
     def product(self, x, y):
         return [(1, x + y)]
 
-    def degree(self, payload):
-        return payload
-
     def letter_str(self, payload):
         return str(payload)
 
 
 class MonomialLetters(CompositionLetters):
     """Monomials a^i of a polynomial ring in one variable: the composition
-    letters' product and degree, rendered as powers of a."""
+    letters' product, rendered as powers of a."""
 
     name = "monomial"
 
@@ -65,10 +59,6 @@ class QLetters(LetterSystem):
     def product(self, x, y):
         return [(1, x + y), (ONE_MINUS_Q, x + y - 1)]
 
-    def degree(self, payload):
-        # recorded grading; the (1-q) term lands one degree below it
-        return payload
-
     def letter_str(self, payload):
         return f"q[{payload}]"
 
@@ -79,20 +69,13 @@ X1 = 1  # dt/(1-t)
 
 
 class WordLetters(LetterSystem):
-    """Two-letter alphabet of the iterated-integral encoding, zero product.
-
-    Degrees are chosen so that "starts with a degree-2 letter" is exactly
-    the admissibility condition s1 >= 2 of the decoded composition.
-    """
+    """Two-letter alphabet of the iterated-integral encoding, zero product."""
 
     name = "word"
     zero_product = True
 
     def product(self, x, y):
         return []
-
-    def degree(self, payload):
-        return 2 if payload == X0 else 1
 
     def letter_str(self, payload):
         return "x0" if payload == X0 else "x1"
@@ -117,9 +100,6 @@ class PolylogLetters(LetterSystem):
         if len(ze) != self.nsymbols or len(we) != self.nsymbols:
             raise ValueError("exponent vector length mismatch")
         return [(1, (s + t, tuple(a + b for a, b in zip(ze, we))))]
-
-    def degree(self, payload):
-        return payload[0]
 
     def letter_str(self, payload):
         s, exps = payload

@@ -23,8 +23,7 @@ requested composition one sum.  The bits are those of whole-array
 arithmetic: an inner node carries its running prefix sum from block to
 block and starts its block's cumsum from it, which is the order of one
 long cumsum, and a value adds its block sums back along numpy's tree,
-which is the order of ``terms.sum()`` (``compensated`` adds exact block
-sums by ``fsum``, which any order gives).  No length-N array is allocated:
+which is the order of ``terms.sum()``.  No length-N array is allocated:
 at most (max depth + distinct keys + a few) blocks are live, since a
 node's prefix block is freed once its last child has read it.
 The naive O(N^k) loop in exact rationals (``nested_sum_oracle``) is the
@@ -48,7 +47,6 @@ class EvalConfig:
     x: Fraction = Fraction(0)
     q: Fraction = Fraction(1, 2)
     K: int = 400
-    compensated: bool = False
 
     def __post_init__(self):
         if self.N < 10:
@@ -113,19 +111,7 @@ def _tree_sum(sums: list, n: int, dtype):
     return node(n)
 
 
-def _exact_parts(block: np.ndarray) -> list:
-    """Floats whose exact sum is the block's: ``fsum`` of the remainder
-    until it is 0 (or not finite), so ``fsum`` of every block's parts is
-    ``fsum`` of the whole array."""
-    terms = block.tolist()
-    parts = [math.fsum(terms)]
-    while parts[-1] and math.isfinite(parts[-1]):
-        terms.append(-parts[-1])
-        parts.append(math.fsum(terms))
-    return parts
-
-
-def _walk(chains, size: int, dtype, block_terms, compensated: bool = False) -> dict:
+def _walk(chains, size: int, dtype, block_terms) -> dict:
     """``{chain: sum_n g_1(n)}`` for each chain by one walk of the suffix trie.
 
     A chain lists the per-depth keys outermost first.  Block order: the
@@ -141,12 +127,11 @@ def _walk(chains, size: int, dtype, block_terms, compensated: bool = False) -> d
     and its block cumsum starts from it (``carry + g[0]`` first, as one
     whole-array cumsum adds); the first block has none, so a -0.0 stays.
     A requested chain keeps one sum per block, added back along the tree,
-    numpy's own order for ``terms.sum()`` (``_tree_sum``); with
-    ``compensated``, one exact float expansion per block (``_exact_parts``),
-    added by one ``fsum``.  Hence every value is bit-identical to
-    whole-array arithmetic.  No length-``size`` array is allocated: at most
-    max depth + distinct keys + the shared inputs + 1 blocks are live, as a
-    node's prefix block is freed once its last child has read it.
+    numpy's own order for ``terms.sum()`` (``_tree_sum``).  Hence every
+    value is bit-identical to whole-array arithmetic.  No length-``size``
+    array is allocated: at most max depth + distinct keys + the shared
+    inputs + 1 blocks are live, as a node's prefix block is freed once its
+    last child has read it.
     """
     trie: dict = {}
     for chain in chains:
@@ -189,10 +174,7 @@ def _walk(chains, size: int, dtype, block_terms, compensated: bool = False) -> d
             else:
                 g = f
             if chain is not None:
-                if compensated:
-                    sums[chain].extend(_exact_parts(g))
-                else:
-                    sums[chain].append(g.sum())
+                sums[chain].append(g.sum())
             if inner:
                 buf[0] = carries[i]
                 if lo:
@@ -201,8 +183,6 @@ def _walk(chains, size: int, dtype, block_terms, compensated: bool = False) -> d
                 carries[i] = buf[-1]
                 prefixes[i] = buf
             del f, g, buf  # a leaf's summands go before the next node allocates
-    if compensated:
-        return {chain: math.fsum(parts) for chain, parts in sums.items()}
     return {chain: _tree_sum(parts, size, dtype).item() for chain, parts in sums.items()}
 
 
@@ -218,7 +198,7 @@ def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
         n = np.arange(lo + 1, hi + 1, dtype=np.float64) + x
         return lambda sj: n ** float(-sj)
 
-    values = _walk(comps, cfg.N, np.float64, block_terms, cfg.compensated)
+    values = _walk(comps, cfg.N, np.float64, block_terms)
     log_n = math.log(cfg.N)
     return {
         s: EvalResult(
@@ -283,7 +263,7 @@ def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
         return lambda sj: q ** (k * (sj - 1)) / bracket**sj
 
     chain = tuple(s)
-    value = _walk((chain,), cfg.K, np.float64, block_terms, cfg.compensated)[chain]
+    value = _walk((chain,), cfg.K, np.float64, block_terms)[chain]
     tail = q ** (cfg.K * (s[0] - 1)) * cfg.K * (1.0 - q) ** sum(s)
     return EvalResult(value=value, tail_bound=tail)
 

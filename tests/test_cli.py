@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rbmzv import cli
 from rbmzv.cli import build_corpus, canonical_json, main
 from rbmzv.numeric_eval import EvalConfig
 
@@ -215,6 +216,13 @@ class TestVerify:
         data = json.loads(out)
         assert data["verdict"] == "equal"
 
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_empty_window_usage_error(self, capsys, window):
+        code, out, err = run(capsys, "verify", "zrb", "--window", window)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: window")
+
 
 class TestCorpus:
     def test_build_and_determinism(self, capsys, tmp_path):
@@ -246,6 +254,18 @@ class TestCorpus:
             "hoffman",
             "congruence",
         }
+
+    @pytest.mark.parametrize("out", ["missing/c.jsonl", "."],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_build(self, capsys, tmp_path, monkeypatch, out):
+        def build(*args):
+            raise AssertionError("the build ran before --out was opened")
+
+        monkeypatch.setattr(cli, "build_corpus", build)
+        code, msg, err = run(capsys, "corpus", "build", "--out", str(tmp_path / out))
+        assert code == 2
+        assert msg == ""
+        assert err.startswith("error: ")
 
     def test_build_corpus_residuals(self):
         entries = build_corpus(4, 2, EvalConfig(N=1000))

@@ -70,6 +70,12 @@ class TestSpitzer:
         with pytest.raises(ValueError):
             spitzer_check(0)
 
+    def test_takes_no_weight(self):
+        # the right-hand side is the weight-1 identity, so any other
+        # weight could only report a false "unequal"
+        with pytest.raises(TypeError):
+            spitzer_check(3, weight=2)
+
 
 class TestExpStarLog:
     @pytest.mark.parametrize("order", range(1, 6))

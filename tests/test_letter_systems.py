@@ -31,21 +31,10 @@ class TestCompositionLetters:
     def test_product_adds_exponents(self):
         assert COMPOSITION.product(2, 3) == [(1, 5)]
 
-    def test_degree(self):
-        assert COMPOSITION.degree(4) == 4
-
-    def test_degree_multiplicative(self):
-        for s, t in itertools.product(range(1, 7), repeat=2):
-            [(c, p)] = COMPOSITION.product(s, t)
-            assert COMPOSITION.degree(p) == s + t
-
 
 class TestQLetters:
     def test_product_relation(self):
         assert QLETTERS.product(2, 3) == [(1, 5), (ONE_MINUS_Q, 4)]
-
-    def test_degree(self):
-        assert QLETTERS.degree(3) == 3
 
     def test_specializes_to_composition_at_q_one(self):
         # the (1-q) term vanishes at q = 1
@@ -74,10 +63,6 @@ class TestWordLetters:
     def test_zero_product(self):
         assert WORD.product(X0, X1) == []
 
-    def test_degrees_encode_admissibility(self):
-        assert WORD.degree(X0) == 2
-        assert WORD.degree(X1) == 1
-
     def test_str(self):
         assert WORD.letter_str(X0) == "x0"
         assert WORD.letter_str(X1) == "x1"
@@ -90,7 +75,6 @@ class TestPolylogLetters:
 
     def test_degree_and_str(self):
         sys = PolylogLetters(2)
-        assert sys.degree((3, (1, 1))) == 3
         assert sys.letter_str((3, (1, 0))) == "(3; z1^1)"
 
     def test_associative_commutative(self):
@@ -111,5 +95,4 @@ class TestPolylogLetters:
 class TestMonomialLetters:
     def test_product_and_degree(self):
         assert MONOMIAL.product(2, 5) == [(1, 7)]
-        assert MONOMIAL.degree(3) == 3
         assert MONOMIAL.letter_str(2) == "a^2"

@@ -114,16 +114,16 @@ class TestMixableShuffle:
             assert left == right
 
     def test_admissibility_closure(self):
-        # both first letters of degree >= 2 -> every output starts at degree >= 2
+        # both first letters >= 2 -> every output starts with a letter >= 2
         words = [
             w
             for L in range(1, 4)
             for w in itertools.product(range(1, 4), repeat=L)
-            if COMPOSITION.degree(w[0]) >= 2
+            if w[0] >= 2
         ]
         for a, b in itertools.product(words, repeat=2):
             for w in mixable_shuffle(COMPOSITION, a, b, 1):
-                assert COMPOSITION.degree(w[0]) >= 2
+                assert w[0] >= 2
 
     def test_systems_sharing_a_name_do_not_share_results(self):
         # both keep LetterSystem's default name
