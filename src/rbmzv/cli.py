@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -176,17 +175,10 @@ def cmd_verify(args) -> int:
         report = identity_engine.congruence_check(
             parse_composition(args.word), args.p
         )
-    elif args.what == "zrb":
-        ok = _verify_zrb(rng, window=args.window)
-        print(f"zrb: {'ok' if ok else 'FAILED'}")
-        return 0 if ok else 1
-    elif args.what == "integration":
-        ok = _verify_integration(rng)
-        print(f"integration: {'ok' if ok else 'FAILED'}")
-        return 0 if ok else 1
-    else:  # jackson
-        ok = _verify_jackson(rng)
-        print(f"jackson: {'ok' if ok else 'FAILED'}")
+    else:  # zrb, integration, jackson
+        defects = _gallery_defects(args.what, rng, args.window)
+        ok = not any(any(d) for d in defects)
+        print(f"{args.what}: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 1
     _emit(args, report.to_json(), f"{report.name}: {report.verdict}")
     return 0 if report.equal else 1
@@ -196,47 +188,36 @@ def _rand_seq(rng, n):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
 
 
-def _verify_zrb(rng, window=50, trials=5) -> bool:
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    for _ in range(trials):
-        f = _rand_seq(rng, window)
-        g = _rand_seq(rng, window)
-        if any(ops.z_rb_defect(f, g)):
-            return False
-    return True
-
-
-def _verify_integration(rng, trials=5) -> bool:
-    for _ in range(trials):
-        f = _rand_seq(rng, rng.randint(1, 7))
-        g = _rand_seq(rng, rng.randint(1, 7))
-        if any(ops.integration_rb_defect(f, g)):
-            return False
-    return True
-
-
-def _rand_xpoly(rng, maxdeg=5, zero_const=False):
+def _rand_xpoly(rng):
     coeffs = [
         RatFuncQ(PolyQ((rng.randint(-5, 5),)))
-        for _ in range(rng.randint(1, maxdeg + 1))
+        for _ in range(rng.randint(1, 6))
     ]
-    if zero_const and coeffs:
-        coeffs[0] = RatFuncQ(PolyQ())
+    coeffs[0] = RatFuncQ(PolyQ())  # drawn, then zeroed: no constant term
     return ops.XPoly(coeffs)
 
 
-def _verify_jackson(rng, trials=5) -> bool:
-    for _ in range(trials):
-        f = _rand_xpoly(rng, zero_const=True)
-        g = _rand_xpoly(rng, zero_const=True)
-        if ops.rb_defect(ops.p_q, f, g, 1):
-            return False
-        if ops.rb_defect(ops.p_hat_q, f, g, -1):
-            return False
-        if ops.jackson_defect(f, g):
-            return False
-    return True
+def _gallery_defects(what, rng, window):
+    """Yield the defects of five random trials of one gallery identity
+    (``zrb``, ``integration`` or ``jackson``); a defect with a nonzero
+    entry is a failure."""
+    if what == "zrb" and window < 1:
+        raise ValueError("window must be >= 1")
+    for _ in range(5):
+        if what == "zrb":
+            f = _rand_seq(rng, window)
+            g = _rand_seq(rng, window)
+            yield ops.z_rb_defect(f, g)
+        elif what == "integration":
+            f = _rand_seq(rng, rng.randint(1, 7))
+            g = _rand_seq(rng, rng.randint(1, 7))
+            yield ops.integration_rb_defect(f, g)
+        else:  # jackson
+            f = _rand_xpoly(rng)
+            g = _rand_xpoly(rng)
+            yield ops.rb_defect(ops.p_q, f, g, 1)
+            yield ops.rb_defect(ops.p_hat_q, f, g, -1)
+            yield ops.jackson_defect(f, g)
 
 
 def _admissible_compositions(max_weight, max_depth):
@@ -335,6 +316,10 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
 
 def cmd_corpus(args) -> int:
     cfg = EvalConfig(N=args.N)
+    # the least entry is congruence (2),p=2, of weight 4 and depth 1
+    if args.max_weight < 4 or args.max_depth < 1:
+        raise ValueError("the corpus is empty below --max-weight 4 "
+                         "or --max-depth 1")
     # opened first, so an unwritable path fails before the build runs
     with open(args.out, "w", encoding="utf-8") as fh:
         entries = build_corpus(args.max_weight, args.max_depth, cfg)
@@ -347,9 +332,6 @@ def cmd_corpus(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    # argparse passes a string default through ``type`` only when it parses
-    # the option, so a malformed value is a usage error (exit 2)
-    default_n = os.environ.get("RBX_DEFAULT_N") or "100000"
     parser = argparse.ArgumentParser(
         prog="rbmzv",
         description="Rota-Baxter shuffle algebras and multiple zeta values",
@@ -379,7 +361,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="numeric evaluation by truncated sums")
     p.add_argument("--comp", required=True)
-    p.add_argument("--N", type=int, default=default_n)
+    p.add_argument("--N", type=int, default=100_000)
     p.add_argument("--x", default="0")
     p.add_argument("--q", default=None)
     p.add_argument("--K", type=int, default=400)
@@ -402,7 +384,7 @@ def make_parser() -> argparse.ArgumentParser:
     b = csub.add_parser("build")
     b.add_argument("--max-weight", type=int, default=6)
     b.add_argument("--max-depth", type=int, default=3)
-    b.add_argument("--N", type=int, default=default_n)
+    b.add_argument("--N", type=int, default=100_000)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_corpus)
 

@@ -153,21 +153,14 @@ class PolyQ(DensePoly):
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
         r = list(self.coeffs)
-        q = [Fraction(0)] * max(len(r) - len(d.coeffs) + 1, 0)
         dl = d.leading()
         dd = d.degree
-        while len(r) - 1 >= dd and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < dd:
-                break
-            k = len(r) - 1 - dd
-            c = r[-1] / dl
-            q[k] = c
+        q = [Fraction(0)] * max(len(r) - dd, 0)
+        for k in reversed(range(len(q))):
+            q[k] = c = r[k + dd] / dl
             for i, dc in enumerate(d.coeffs):
                 r[k + i] -= c * dc
-            r.pop()
-        return PolyQ(q), PolyQ(r)
+        return PolyQ(q), PolyQ(r[:dd])
 
     def __floordiv__(self, other):
         o = self._coerce(other)
@@ -424,9 +417,11 @@ def _require_zero_constant(a: TruncSeries):
 def series_exp(a: TruncSeries) -> TruncSeries:
     """exp(a) = sum a^n / n!, for a with zero constant term."""
     _require_zero_constant(a)
-    result = a.unit()
-    term = a.unit()
-    for n in range(1, a.order + 1):
+    # starts from the degree-1 term, so the product never meets the unit
+    # and a non-unital product (such as the star product) works too
+    result = a.unit() + a
+    term = a
+    for n in range(2, a.order + 1):
         term = (term * a).scale(Fraction(1, n))
         result = result + term
     return result

@@ -147,16 +147,7 @@ def exp_star_log_check(order: int) -> IdentityReport:
     one = alg.one()
     xt = TruncSeries(order, [alg.zero(), alg.j(1)], one)
     w = series_log1p(xt)
-    w_star = TruncSeries(order, w.coeffs, one, mul=alg.star)
-    # the star product is not unital, so exp_star is built from star powers
-    # w^(star n) directly instead of via the generic series_exp
-    lhs = w_star.unit() + w_star
-    power = w_star
-    fact = 1
-    for n in range(2, order + 1):
-        power = power * w_star
-        fact *= n
-        lhs = lhs + power.scale(Fraction(1, fact))
+    lhs = series_exp(TruncSeries(order, w.coeffs, one, mul=alg.star))
     rhs_coeffs = [one] + [alg.pure(1, (1,) * (i - 1)) for i in range(1, order + 1)]
     rhs = TruncSeries(order, rhs_coeffs, one)
     return _series_compare("expstar", {"order": order}, lhs, rhs)
@@ -209,11 +200,11 @@ def _mod_p_failure(power: dict, target: tuple, p: int) -> str | None:
     return None
 
 
-def congruence_check(w: tuple, p: int, system=COMPOSITION) -> IdentityReport:
-    """Check (a1 (x) ... (x) an)^p = a1^p (x) ... (x) an^p mod p."""
-    power = freshman_power(w, p, system)
+def congruence_check(w: tuple, p: int) -> IdentityReport:
+    """Check (a1 (x) ... (x) an)^p = a1^p (x) ... (x) an^p mod p for
+    composition letters, whose p-th power is p*a."""
+    power = freshman_power(w, p)
     w = tuple(w)
-    # letter p-th power: p-fold letter product; additive systems give p*a
     target = tuple(p * a for a in w)
     bad = _mod_p_failure(power, target, p)
     return IdentityReport(

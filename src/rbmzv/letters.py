@@ -22,9 +22,6 @@ class LetterSystem:
     def letter_str(self, payload) -> str:
         raise NotImplementedError
 
-    def sort_key(self, payload):
-        return payload
-
     def __repr__(self):
         return f"<letter system {self.name}>"
 

@@ -367,10 +367,9 @@ class ShaElement:
 
     def sort_key(self, key):
         h, t = key
-        sk = self.alg.system.sort_key
 
         def lk(x):
-            return (0,) if x is None else (1, sk(x))
+            return (0,) if x is None else (1, x)
 
         return (lk(h), len(t), tuple(lk(x) for x in t))
 

@@ -176,17 +176,11 @@ class TestEval:
         assert out == ""
         assert "error: truncation K must be >= 1" in err
 
-    def test_env_default_n(self, capsys, monkeypatch):
+    def test_default_n_ignores_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("RBX_DEFAULT_N", "500")
         code, out, _ = run(capsys, "eval", "--comp", "2")
         assert code == 0
-        assert json.loads(out)["N"] == 500
-
-    def test_env_default_n_malformed(self, capsys, monkeypatch):
-        monkeypatch.setenv("RBX_DEFAULT_N", "abc")
-        code, _, err = run(capsys, "eval", "--comp", "2")
-        assert code == 2
-        assert "invalid int value" in err
+        assert json.loads(out)["N"] == 100_000
 
 
 class TestVerify:
@@ -222,6 +216,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: window")
+
+    @pytest.mark.parametrize("what, defect", [
+        ("zrb", "z_rb_defect"),
+        ("integration", "integration_rb_defect"),
+        ("jackson", "jackson_defect"),
+    ])
+    def test_nonzero_defect_fails(self, capsys, monkeypatch, what, defect):
+        monkeypatch.setattr(cli.ops, defect, lambda *args: [0, 1])
+        code, out, _ = run(capsys, "verify", what)
+        assert code == 1
+        assert out == f"{what}: FAILED\n"
 
 
 class TestCorpus:
@@ -266,6 +271,17 @@ class TestCorpus:
         assert code == 2
         assert msg == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("bound", [
+        ("--max-weight", "-1"), ("--max-weight", "3"), ("--max-depth", "0"),
+    ], ids=["weight-minus-1", "weight-3", "depth-0"])
+    def test_empty_bounds_usage_error(self, capsys, tmp_path, bound):
+        path = tmp_path / "c.jsonl"
+        code, msg, err = run(capsys, "corpus", "build", *bound, "--out", str(path))
+        assert code == 2
+        assert msg == ""
+        assert err.startswith("error: the corpus is empty")
+        assert not path.exists()
 
     def test_build_corpus_residuals(self):
         entries = build_corpus(4, 2, EvalConfig(N=1000))

@@ -45,6 +45,12 @@ class TestPolyQ:
         q, r = P(1, 0, 0, 1).divmod(P(0, 1))
         assert q == P(0, 0, 1) and r == P(1)
 
+    @given(polys, nonzero_polys)
+    def test_divmod_is_euclidean(self, a, d):
+        q, r = a.divmod(d)
+        assert q * d + r == a
+        assert r.degree < d.degree
+
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             P(1).divmod(PolyQ())
@@ -171,6 +177,11 @@ class TestTruncSeries:
             3, [1, 1, Fraction(1, 2), Fraction(1, 6)]
         )
         assert series_exp(series(4)) == series(4).unit()
+
+    def test_exp_never_multiplies_by_the_unit(self):
+        # a non-unital product: the unit times a would be 2a
+        a = TruncSeries(3, [0, 1], mul=lambda x, y: 2 * x * y)
+        assert series_exp(a).coeffs == [1, 1, 1, Fraction(2, 3)]
 
     def test_log1p(self):
         lg = series_log1p(series(3, 0, 1))

@@ -164,10 +164,12 @@ class TestFreshmanCongruence:
         with pytest.raises(ValueError):
             congruence_check((2,), 6)
 
-    def test_monomial_letters_also_pass(self):
-        for p in (2, 3):
-            for w in [(1,), (2,), (1, 2)]:
-                assert congruence_check(w, p, MONOMIAL).equal
+    def test_takes_no_letter_system(self):
+        # its target p*a is the letter p-th power only for composition
+        # letters; for q-letters (2,)^2 holds (3,): 1 - q, which mod p
+        # cannot test
+        with pytest.raises(TypeError):
+            congruence_check((2,), 2, QLETTERS)
 
     @pytest.mark.parametrize("system", [COMPOSITION, MONOMIAL])
     @pytest.mark.parametrize("p, w", SHORT_POWERS)
