@@ -26,6 +26,20 @@ long cumsum, and a value adds its block sums back along numpy's tree,
 which is the order of ``terms.sum()``.  No length-N array is allocated:
 at most (max depth + distinct keys + a few) blocks are live, since a
 node's prefix block is freed once its last child has read it.
+
+The polylog and q-MZV walks stop early.  Where a power q^(k m) or z^n
+falls below 2^-``_ZERO_BITS`` it is written as +0 without calling ``pow``
+or ``cpow``, which return an exact zero there anyway, and a power of a
+letter equal to 1 (or q^0) is written as an exact 1.  From the first
+index where the outermost power is zero, every outer summand is that zero
+times finite factors in (0, 1] and prefix sums, so ``_walk`` leaves out
+each leaf that starts there: ``mpl_num`` with |z1| < 1 and ``qmzv_num``
+cost O(cutoff / _LEAF + log N) blocks whatever N or K is.  Nonzero values
+are unchanged bit for bit, since adding a zero leaves a nonzero sum
+unchanged.  A zero value keeps its sign too for q-MZVs, whose zeros are
+all +0, and does not show it for complex polylogs, which report ``abs``;
+for a real polylog whose summands are all zeros the sign bit rests on
+the bitwise tests, which compare it.
 The naive O(N^k) loop in exact rationals (``nested_sum_oracle``) is the
 ground truth it is tested against.
 """
@@ -38,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mzv_calculus import Relation, require_admissible
+from .mzv_calculus import Relation, check_composition, require_admissible
 
 
 @dataclass
@@ -49,6 +63,9 @@ class EvalConfig:
     K: int = 400
 
     def __post_init__(self):
+        for name in ("N", "K"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"truncation {name} must be an integer")
         if self.N < 10:
             raise ValueError("truncation N must be >= 10")
         if self.K < 1:
@@ -88,30 +105,63 @@ def _split(n: int, dtype) -> int:
     return h - h % 8
 
 
-def _leaves(n: int, dtype, lo: int = 0) -> list:
+def _leaves(n: int, dtype, lo: int = 0, stop: float = math.inf) -> list:
     """The ``[lo, hi)`` runs, in order, that numpy's pairwise sum over n
-    elements reaches once a run is at most ``_LEAF`` long."""
+    elements reaches once a run is at most ``_LEAF`` long, leaving out every
+    subtree that starts at or after ``stop``."""
+    if lo >= stop:
+        return []
     if n <= _LEAF:
         return [(lo, lo + n)]
     h = _split(n, dtype)
-    return _leaves(h, dtype, lo) + _leaves(n - h, dtype, lo + h)
+    return _leaves(h, dtype, lo, stop) + _leaves(n - h, dtype, lo + h, stop)
 
 
-def _tree_sum(sums: list, n: int, dtype):
+def _tree_sum(sums: list, n: int, dtype, stop: float = math.inf):
     """Add the leaves' sums back along the tree ``_leaves`` cut them from;
-    this is ``terms.sum()`` of the whole array, bit for bit."""
+    this is ``terms.sum()`` of the whole array, bit for bit.  A subtree
+    ``_leaves`` left out counts as one +0."""
     sums = iter(sums)
+    zero = np.dtype(dtype).type(0)
 
-    def node(n):
+    def node(lo, n):
+        if lo >= stop:
+            return zero
         if n <= _LEAF:
             return next(sums)
         h = _split(n, dtype)
-        return node(h) + node(n - h)
+        return node(lo, h) + node(lo + h, n - h)
 
-    return node(n)
+    return node(0, n)
 
 
-def _walk(chains, size: int, dtype, block_terms) -> dict:
+#: Bits past which a power is written as an exact +0 without calling
+#: ``pow`` or ``cpow``.  A true value below 2^-1100 is 2^-26 of the least
+#: subnormal double (2^-1074), so both already return an exact zero there:
+#: their own error, and the rounding of the cutoff below, are far inside
+#: those 26 bits.  ``tests/test_numeric_eval.py`` checks this premise.
+_ZERO_BITS = 1100
+
+
+def _first_zero(bits: float, size: int) -> int:
+    """The first index i < size, holding n = i + 1, with n * bits >=
+    ``_ZERO_BITS``, or ``size`` if there is none: from there on a power
+    whose log2 falls by ``bits`` per step of n is an exact zero."""
+    if bits <= 0:
+        return size
+    return min(size, max(0, math.ceil(_ZERO_BITS / bits) - 1))
+
+
+def _powers(base, e, lo: int, zero_from: int, dtype):
+    """``base ** e`` over the block of indices starting at ``lo``, with
+    +0 written from index ``zero_from`` on instead of calling ``pow``."""
+    out = np.zeros(len(e), dtype)
+    live = min(len(e), max(0, zero_from - lo))
+    np.power(base, e[:live], out=out[:live])
+    return out
+
+
+def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict:
     """``{chain: sum_n g_1(n)}`` for each chain by one walk of the suffix trie.
 
     A chain lists the per-depth keys outermost first.  Block order: the
@@ -132,6 +182,14 @@ def _walk(chains, size: int, dtype, block_terms) -> dict:
     array is allocated: at most max depth + distinct keys + the shared
     inputs + 1 blocks are live, as a node's prefix block is freed once its
     last child has read it.
+
+    Cutoff: the caller may pass ``stop`` when every outermost summand from
+    index ``stop`` on is an exact zero.  Leaves that start at or after it
+    are not visited, and each subtree of them counts as one +0 in the
+    sums, so the walk costs O(stop / _LEAF + tree depth) blocks, not
+    O(size / _LEAF).  A nonzero value stays bit-identical, as adding a
+    zero leaves a nonzero sum unchanged; a value whose summands are all
+    zeros stays a zero, and +0 if they all are.
     """
     trie: dict = {}
     for chain in chains:
@@ -151,7 +209,7 @@ def _walk(chains, size: int, dtype, block_terms) -> dict:
                      for i, (key, child) in enumerate(reversed(sub.items())))
     sums = {chain: [] for chain in wanted}
     carries = [0.0] * len(nodes)
-    for lo, hi in _leaves(size, dtype):
+    for lo, hi in _leaves(size, dtype, stop=stop):
         level = block_terms(lo, hi)
         terms = {}
         # an inner node's buf: buf[:-1] its exclusive prefix sums, buf[-1] its next carry
@@ -183,7 +241,8 @@ def _walk(chains, size: int, dtype, block_terms) -> dict:
                 carries[i] = buf[-1]
                 prefixes[i] = buf
             del f, g, buf  # a leaf's summands go before the next node allocates
-    return {chain: _tree_sum(parts, size, dtype).item() for chain, parts in sums.items()}
+    return {chain: _tree_sum(parts, size, dtype, stop).item()
+            for chain, parts in sums.items()}
 
 
 def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
@@ -219,9 +278,17 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     """Truncated multiple polylogarithm / Lerch sum.
 
     Convergence precondition: |z1| < 1, or z1 = 1 with s1 >= 2, and
-    |z_i| <= 1 for the inner letters.
+    |z_i| <= 1 for the inner letters.  The exponents must be positive
+    integers, so every (n + x)^(-s_j) lies in (0, 1].
+
+    A letter equal to 1 gets exact ones in place of ``cpow``, and a
+    letter's power z^n is written as +0 from the first n with
+    n * log2(1/|z|) >= ``_ZERO_BITS`` on; the walk stops at the outer
+    letter's first zero, past which every summand is zero times finite
+    factors.
     """
     cfg = cfg or EvalConfig()
+    check_composition(s)
     if len(z) != len(s):
         raise ValueError("need one z per exponent")
     z = tuple(complex(w) for w in z)
@@ -231,16 +298,22 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     if any(abs(w) > 1 for w in z[1:]):
         raise ValueError("inner letters need |z| <= 1")
     x = float(cfg.x)
+    zero_from = {w: _first_zero(-math.log2(abs(w)) if w else math.inf, cfg.N)
+                 for w in set(z)}
 
     def block_terms(lo, hi):
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         shifted = n + x
-        z_pow = {w: np.power(w, n) for w in set(z)}
+        # exact ones and zeros, complex128 like cpow's: the term blocks are
+        # summed along numpy's complex tree, which splits unlike the float one
+        z_pow = {w: np.ones(hi - lo, np.complex128) if w == 1
+                 else _powers(w, n, lo, zero_from[w], np.complex128)
+                 for w in zero_from}
         s_pow = {sj: shifted ** float(-sj) for sj in set(s)}
         return lambda key: z_pow[key[1]] * s_pow[key[0]]
 
     chain = tuple(zip(s, z))  # one key (s_j, z_j) per depth
-    total = _walk((chain,), cfg.N, np.complex128, block_terms)[chain]
+    total = _walk((chain,), cfg.N, np.complex128, block_terms, zero_from[z[0]])[chain]
     value = total.real if all(w.imag == 0 for w in z) else abs(total)
     r = abs(z[0])
     if r < 1:
@@ -252,18 +325,28 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
 
 def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     """Truncated q-MZV: sum over K >= k1 > ... > kd > 0 of
-    q^(sum k_i (s_i - 1)) / prod [k_i]_q^(s_i)."""
+    q^(sum k_i (s_i - 1)) / prod [k_i]_q^(s_i).
+
+    Each power q^(k m) is written as +0 from the first k with
+    k * m * log2(1/q) >= ``_ZERO_BITS`` on, q^0 is never computed, and the
+    walk stops where the outer power q^(k (s1 - 1)) turns zero.
+    """
     cfg = cfg or EvalConfig()
     require_admissible(s)
     q = float(cfg.q)
+    bits = -math.log2(q)
+
+    def powers(k, lo, m):  # q ** (k * m) for m >= 1
+        return _powers(q, k * m, lo, _first_zero(m * bits, cfg.K), np.float64)
 
     def block_terms(lo, hi):
         k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        bracket = (1.0 - q**k) / (1.0 - q)
-        return lambda sj: q ** (k * (sj - 1)) / bracket**sj
+        bracket = (1.0 - powers(k, lo, 1)) / (1.0 - q)
+        return lambda sj: (powers(k, lo, sj - 1) if sj > 1 else 1.0) / bracket**sj
 
     chain = tuple(s)
-    value = _walk((chain,), cfg.K, np.float64, block_terms)[chain]
+    stop = _first_zero((s[0] - 1) * bits, cfg.K)
+    value = _walk((chain,), cfg.K, np.float64, block_terms, stop)[chain]
     tail = q ** (cfg.K * (s[0] - 1)) * cfg.K * (1.0 - q) ** sum(s)
     return EvalResult(value=value, tail_bound=tail)
 

@@ -155,6 +155,17 @@ class TestEval:
         assert data["q"] == "1/2" and data["K"] == 100
         assert data["value"] > 0
 
+    def test_qmzv_huge_k(self, capsys):
+        # the walk stops where q^k turns zero, so K = 10^12 visits one leaf
+        code, out, _ = run(
+            capsys, "eval", "--comp", "2", "--q", "1/2", "--K", "1000000000000"
+        )
+        assert code == 0
+        value = json.loads(out)["value"]
+        _, out, _ = run(capsys, "eval", "--comp", "2", "--q", "1/2", "--K", "1000000")
+        ref = json.loads(out)["value"]
+        assert abs(value - ref) <= 1e-15 * abs(ref)
+
     def test_divergent_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--comp", "1,2")
         assert code == 2

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import platform
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from rbmzv.numeric_eval import (
     zeta_num,
     zeta_values,
 )
-from rbmzv.numeric_eval import _LEAF, _leaves, _tree_sum, _walk
+from rbmzv.numeric_eval import _LEAF, _first_zero, _leaves, _tree_sum, _walk
 
 
 class TestEvalConfig:
@@ -46,6 +48,22 @@ class TestEvalConfig:
     def test_truncation_k_positive(self, K):
         with pytest.raises(ValueError, match="K must be >= 1"):
             EvalConfig(K=K)
+
+    @pytest.mark.parametrize("name", ["N", "K"])
+    @pytest.mark.parametrize("value", [100.5, 100.0, Fraction(201, 2)])
+    def test_truncation_integral(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EvalConfig(**{name: value})
+
+    def test_fractional_n_depth_one(self):
+        # summed 101 terms but reported the tail bound at N = 100.5
+        with pytest.raises(ValueError, match="N must be an integer"):
+            zeta_num((2,), EvalConfig(N=100.5))
+
+    def test_fractional_n_depth_two(self):
+        # raised a numpy TypeError from inside the walk
+        with pytest.raises(ValueError, match="N must be an integer"):
+            zeta_num((2, 1), EvalConfig(N=100.5))
 
 
 class TestZetaNum:
@@ -112,6 +130,13 @@ class TestMplNum:
     def test_complex_inner_letter(self):
         got = mpl_num((2, 1), (0.5, 1j), EvalConfig(N=100))
         assert got.value >= 0.0
+
+    @pytest.mark.parametrize("s", [(0,), (-1,), (2, -1), (2.5,), (-200,)])
+    def test_exponents_positive_integers(self, s):
+        # (-200,) let an OverflowError escape; (2, -1) was summed with a
+        # tail bound that ignored the growing inner factor
+        with pytest.raises(ValueError, match="not a composition"):
+            mpl_num(s, (0.5,) * len(s), EvalConfig(N=50))
 
 
 def qmzv_loop(s, q, K):
@@ -305,6 +330,96 @@ class TestZetaValues:
         assert qmzv_num(s, cfg).value == qmzv_reference(s, cfg)
 
 
+def _same_bits(got, want):
+    return got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+def _cutoff_place(first_zero, n, dtype):
+    """Where a walk over n elements stops: in the first leaf, in a later
+    leaf, or past n (no stop)."""
+    if first_zero >= n:
+        return "past"
+    return "first" if first_zero < _leaves(n, dtype)[0][1] else "middle"
+
+
+#: outer letters whose powers turn zero in the first leaf, in a later leaf,
+#: or only past MULTI_BLOCK; 0.999 turns zero in a later leaf at N = 10^6
+CUTOFF_Z1 = [0.999, -0.999, 1e-300, -1e-300, 0.9j, 0.3 + 0.4j, 0.981, -0.981j]
+CUTOFF_SHAPES = [((2,), ()), ((2, 1), (1,)), ((1, 2, 1), (-1, 0.5j))]
+
+
+class TestCutoff:
+    """The walks stop where the outer summands are exact zeros and write
+    zeros and ones in place of pow and cpow; every value, sign bit
+    included, stays that of whole-array arithmetic."""
+
+    def test_cases_place_the_cutoff_everywhere(self):
+        places = {_cutoff_place(_first_zero(-math.log2(abs(z1)), MULTI_BLOCK),
+                                MULTI_BLOCK, np.complex128) for z1 in CUTOFF_Z1}
+        assert places == {"first", "middle", "past"}
+        cut = _first_zero(-math.log2(0.999), 10**6)
+        assert _cutoff_place(cut, 10**6, np.complex128) == "middle"
+
+    @pytest.mark.parametrize("z1", CUTOFF_Z1, ids=str)
+    @pytest.mark.parametrize("s, inner", CUTOFF_SHAPES, ids=["d1", "d2", "d3"])
+    def test_mpl_bitwise(self, s, inner, z1):
+        cfg = EvalConfig(N=MULTI_BLOCK, x=Fraction(1, 4))
+        z = (z1,) + inner
+        assert _same_bits(mpl_num(s, z, cfg).value, mpl_reference(s, z, cfg))
+
+    def test_mpl_bitwise_long(self):
+        cfg = EvalConfig(N=10**6)
+        s, z = (2, 1), (0.999, 1)
+        assert _same_bits(mpl_num(s, z, cfg).value, mpl_reference(s, z, cfg))
+
+    @pytest.mark.parametrize("q, s, K", [
+        (Fraction(99, 100), (2,), MULTI_BLOCK),
+        (Fraction(99, 100), (3, 1, 1), MULTI_BLOCK),
+        (Fraction(99, 100), (2, 3, 1), MULTI_BLOCK),
+        (Fraction(999, 1000), (9, 1), MULTI_BLOCK),
+        (Fraction(999, 1000), (2, 1), 10**6),
+    ])
+    def test_qmzv_bitwise(self, q, s, K):
+        cut = _first_zero((s[0] - 1) * -math.log2(q), K)
+        assert _cutoff_place(cut, K, np.float64) == "middle"
+        cfg = EvalConfig(K=K, q=q)
+        assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
+
+
+class TestPowerPremise:
+    """The cutoff is bit-identical only while this platform's numpy and
+    libm return exact ones for 1^n and exact zeros past ``_first_zero``.
+    A failure here names a platform whose pow or cpow breaks that."""
+
+    PLATFORM = (f"{platform.platform()}, libc {' '.join(platform.libc_ver())}, "
+                f"numpy {np.__version__}")
+
+    def test_unit_powers_exact(self):
+        p = np.power(1 + 0j, np.arange(1, 2**20 + 1, dtype=np.float64))
+        assert (p.real == 1.0).all() and (p.imag == 0.0).all(), self.PLATFORM
+        assert not np.signbit(p.imag).any(), self.PLATFORM
+
+    @staticmethod
+    def _past_cutoff(bits):
+        first = _first_zero(bits, 10**13) + 1  # the exponent n at that index
+        return np.concatenate([first + np.arange(8192.0), [1e6, 1e9, 1e12]])
+
+    @pytest.mark.parametrize("q", [1 / 1000, 1 / 2, 3 / 4, 999 / 1000], ids=str)
+    def test_real_powers_zero(self, q):
+        e = self._past_cutoff(-math.log2(q))
+        assert (q ** e == 0).all(), f"{q} ** e is not zero past the cutoff on {self.PLATFORM}"
+
+    # 1e-20 reaches numpy's repeated multiplication (exponents below 100)
+    @pytest.mark.parametrize("r", [0.3, 0.9, 0.999, 1e-20], ids=str)
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, 1.0, math.pi], ids=str)
+    def test_complex_powers_zero(self, r, phase):
+        w = {0.0: complex(r), math.pi / 2: r * 1j, math.pi: complex(-r)}.get(
+            phase, cmath.rect(r, phase))
+        e = self._past_cutoff(-math.log2(abs(w)))
+        assert (np.power(w, e) == 0).all(), (
+            f"{w} ** n is not zero past the cutoff on {self.PLATFORM}")
+
+
 def _wide_random(rng, n, dtype):
     """Random terms of both signs over 2^-60..2^60, so that any change in
     the order of additions changes the bits."""
@@ -312,6 +427,22 @@ def _wide_random(rng, n, dtype):
     if dtype is np.complex128:
         a = a + 1j * rng.standard_normal(n) * np.exp2(rng.integers(-60, 61, n))
     return a
+
+
+WALK_CHAINS = [("a", "b", "c"), ("b", "c"), ("c", "b", "c"), ("a",)]
+
+
+def _whole_array_sum(terms, chain):
+    """``chain``'s value by whole-array arithmetic over ``terms``."""
+    whole = terms[chain[-1]]
+    for key in reversed(chain[:-1]):
+        prefix = np.zeros_like(whole)
+        np.cumsum(whole[:-1], out=prefix[1:])
+        # f times prefix, in this operand order: complex products are
+        # not bitwise commutative, and ``f * <temporary>`` lets numpy
+        # reuse the temporary as the output with the operands swapped
+        whole = np.multiply(terms[key], prefix)
+    return whole.sum()
 
 
 class TestBlockWalk:
@@ -345,19 +476,37 @@ class TestBlockWalk:
         n = max(1, leaves * _LEAF + offset)
         rng = np.random.default_rng(seed)
         terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
-        chains = [("a", "b", "c"), ("b", "c"), ("c", "b", "c"), ("a",)]
-        got = _walk(chains, n, np.dtype(dtype),
+        got = _walk(WALK_CHAINS, n, np.dtype(dtype),
                     lambda lo, hi: lambda key: terms[key][lo:hi].copy())
-        for chain in chains:
-            whole = terms[chain[-1]]
-            for key in reversed(chain[:-1]):
-                prefix = np.zeros_like(whole)
-                np.cumsum(whole[:-1], out=prefix[1:])
-                # f times prefix, in this operand order: complex products are
-                # not bitwise commutative, and ``f * <temporary>`` lets numpy
-                # reuse the temporary as the output with the operands swapped
-                whole = np.multiply(terms[key], prefix)
-            assert got[chain] == whole.sum(), chain
+        for chain in WALK_CHAINS:
+            assert got[chain] == _whole_array_sum(terms, chain), chain
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("where", ["inside", "at", "past", "start", "end"])
+    def test_stop_matches_zeroed_tail(self, dtype, where):
+        # every summand from ``stop`` on is zero, so the walk may leave out
+        # each leaf that starts there and count each such subtree as +0
+        n = MULTI_BLOCK
+        leaves = _leaves(n, np.dtype(dtype))
+        boundary = leaves[1][0]
+        stop = {"inside": boundary - 5, "at": boundary, "past": boundary + 5,
+                "start": 0, "end": n}[where]
+        rng = np.random.default_rng(7)
+        terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
+        for t in terms.values():
+            t[stop:] = 0
+        visited = []
+
+        def block_terms(lo, hi):
+            visited.append(lo)
+            return lambda key: terms[key][lo:hi].copy()
+
+        got = _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop)
+        assert visited == [lo for lo, _ in leaves if lo < stop]
+        for chain in WALK_CHAINS:
+            want = _whole_array_sum(terms, chain)
+            assert got[chain] == want, chain
+            assert np.signbit(got[chain].real) == np.signbit(want.real), chain
 
 
 def _traced_peak(fn):
