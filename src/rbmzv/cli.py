@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import identity_engine, mzv_calculus as mzv, numeric_eval, operator_gallery as ops
-from .coefficients import PolyQ, RatFuncQ
+from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
 from .letters import COMPOSITION
 from .mzv_calculus import (
     Relation,
@@ -70,7 +70,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 def _parse_weight(text: str):
     if text == "1-q":
-        return PolyQ((1, -1))
+        return ONE_MINUS_Q
     return _parse_fraction(text, "weight")
 
 

@@ -4,24 +4,39 @@ in a formal parameter q, and truncated power series.
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced).
 There is one dense polynomial type, ``DensePoly``, generic over its
 coefficient ring: ``PolyQ`` is its instance over the rationals, and
-``operator_gallery.XPoly`` its instance over ``RatFuncQ``.  Rational
-functions are kept in canonical form (coprime, monic denominator) so
-equality is a tuple comparison.  Truncated series work over any
-coefficient module whose elements support ``+``, ``*`` and
+``operator_gallery.XPoly`` its instance over ``RatFuncQ``.  A ``PolyQ`` is
+stored as one rational content times a primitive integer polynomial with a
+positive leading coefficient, so its arithmetic runs on Python ints: a
+product is one ``Fraction`` product and an integer convolution (by Gauss's
+lemma a product of primitive polynomials is primitive), and a sum takes one
+integer gcd.  ``poly_gcd`` is the primitive polynomial remainder sequence
+over Z (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971), made monic
+once at the end.  Rational functions are kept in canonical form (coprime,
+monic denominator) so equality is a tuple comparison.  Truncated series
+work over any coefficient module whose elements support ``+``, ``*`` and
 left-multiplication by a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two nonzero dense polynomials."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        # the slot starts at its first product, not at zero: adding
+        # onto zero costs a gcd for rational-function coefficients
+        s = a[lo] * b[k - lo]
+        for i in range(lo + 1, hi + 1):
+            s = s + a[i] * b[k - i]
+        out.append(s)
+    return out
 
 
 class DensePoly:
@@ -32,10 +47,12 @@ class DensePoly:
     ``_zero`` is the ring's zero, and ``_scalars`` are the types read as
     constant polynomials.  Only the subclass itself and those scalars are
     accepted as operands, so two polynomial types never read each other's
-    coefficients.
+    coefficients.  A subclass declares the ``coeffs`` slot that holds the
+    coefficient tuple; ``PolyQ`` instead derives ``coeffs`` from its own
+    representation and overrides the methods that representation changes.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable = ()):
         coerce = self._coeff
@@ -95,16 +112,7 @@ class DensePoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return type(self)()
-        out = []
-        for k in range(len(a) + len(b) - 1):
-            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-            # the slot starts at its first product, not at zero: adding
-            # onto zero costs a gcd for rational-function coefficients
-            s = a[lo] * b[k - lo]
-            for i in range(lo + 1, hi + 1):
-                s = s + a[i] * b[k - i]
-            out.append(s)
-        return type(self)(out)
+        return type(self)(_convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -137,30 +145,169 @@ class DensePoly:
         return f"{type(self).__name__}({list(self.coeffs)!r})"
 
 
-class PolyQ(DensePoly):
-    """Dense polynomial in q over the rationals, no trailing zeros."""
+def _primitive(ints) -> tuple[int, tuple]:
+    """(c, p) with ints = c * p, p primitive with a positive leading
+    coefficient and no trailing zeros; (0, ()) for the zero vector."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not n:
+        return 0, ()
+    g = math.gcd(*ints[:n])
+    if ints[n - 1] < 0:
+        g = -g
+    return g, tuple(x // g for x in ints[:n])
 
-    __slots__ = ()
-    _coeff = staticmethod(_as_fraction)
+
+def _pseudo_divmod(a: tuple, b: tuple) -> tuple[int, list, list]:
+    """(s, q, r) with s*a = q*b + r over Z and len(r) = len(b) - 1, for
+    integer vectors with a >= b in length and b[-1] > 0.
+
+    s > 0 divides a power of b[-1]: a step scales the remainder only when
+    the leading coefficient does not already divide its top term, so an
+    exact division over Z (b primitive and dividing a) has s = 1.
+    """
+    lc, db = b[-1], len(b) - 1
+    n = len(a) - db
+    r, q, s = list(a), [0] * n, 1
+    for k in reversed(range(n)):
+        t = r[k + db]
+        if not t:
+            continue
+        if t % lc:
+            g = math.gcd(t, lc)
+            m = lc // g
+            s *= m
+            for i in range(k + db):
+                r[i] *= m
+            for i in range(k + 1, n):
+                q[i] *= m
+            t = t * m
+        q[k] = c = t // lc
+        for i in range(db):
+            r[k + i] -= c * b[i]
+    return s, q, r[:db]
+
+
+class PolyQ(DensePoly):
+    """Dense polynomial in q over the rationals, no trailing zeros.
+
+    Stored as ``content * prim``: ``prim`` is a primitive integer tuple
+    with a positive leading coefficient, ``content`` a nonzero Fraction;
+    the zero polynomial is ``Fraction(0) * ()``.  This form is unique, so
+    equality compares the two parts.  ``coeffs`` gives the rational
+    coefficients.  Coefficients must be exact: ``int`` or ``Fraction``.
+    """
+
+    __slots__ = ("content", "prim")
     _zero = Fraction(0)
     _scalars = (int, Fraction)
 
+    def __init__(self, coeffs: Iterable = ()):
+        nums, dens = [], []
+        for c in coeffs:
+            if not isinstance(c, self._scalars):
+                raise TypeError(
+                    "PolyQ coefficients must be int or Fraction, "
+                    f"not {type(c).__name__}")
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+        den = math.lcm(*dens)
+        g, p = _primitive([n * (den // d) for n, d in zip(nums, dens)])
+        object.__setattr__(self, "content", Fraction(g, den))
+        object.__setattr__(self, "prim", p)
+
+    @classmethod
+    def _make(cls, content: Fraction, prim: tuple) -> "PolyQ":
+        # trusts its arguments to be in the stored form
+        out = object.__new__(cls)
+        object.__setattr__(out, "content", content)
+        object.__setattr__(out, "prim", prim)
+        return out
+
+    @classmethod
+    def _from_ints(cls, scale: Fraction, ints) -> "PolyQ":
+        """The polynomial scale * ints, for an integer vector ints."""
+        g, p = _primitive(ints)
+        return cls._make(scale * g, p)
+
+    @property
+    def coeffs(self) -> tuple:
+        c = self.content
+        return tuple(c * x for x in self.prim)
+
+    @property
+    def degree(self) -> int:
+        return len(self.prim) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.prim)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.prim:
+            return self
+        if not self.prim:
+            return o
+        # over the lcm of the denominators, with the numerators' gcd out
+        a, b = self.content, o.content
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        g = math.gcd(na, nb)
+        den = da // math.gcd(da, db) * db
+        fa, fb = na // g * (den // da), nb // g * (den // db)
+        pa, pb = self.prim, o.prim
+        if len(pa) < len(pb):
+            pa, pb, fa, fb = pb, pa, fb, fa
+        ints = [fa * x + fb * y for x, y in zip(pa, pb)]
+        ints.extend(fa * x for x in pa[len(pb):])
+        return self._from_ints(Fraction(g, den), ints)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(-self.content, self.prim)
+
+    def __mul__(self, other):
+        # a scalar only rescales the content; the q-letter product meets
+        # int * PolyQ on every term
+        if isinstance(other, self._scalars):
+            if not other or not self.prim:
+                return PolyQ()
+            return self._make(self.content * other, self.prim)
+        if type(other) is not PolyQ:
+            return NotImplemented
+        if not self.prim or not other.prim:
+            return PolyQ()
+        return self._make(self.content * other.content,
+                          tuple(_convolve(self.prim, other.prim)))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.prim == o.prim and self.content == o.content
+
+    # defining __eq__ drops the inherited hash; constants still hash like
+    # their coefficient
+    __hash__ = DensePoly.__hash__
+
     def monic(self) -> "PolyQ":
-        lc = self.leading()
-        return PolyQ(c / lc for c in self.coeffs)
+        if not self.prim:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self._make(Fraction(1, self.prim[-1]), self.prim)
 
     def divmod(self, d: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        dl = d.leading()
-        dd = d.degree
-        q = [Fraction(0)] * max(len(r) - dd, 0)
-        for k in reversed(range(len(q))):
-            q[k] = c = r[k + dd] / dl
-            for i, dc in enumerate(d.coeffs):
-                r[k + i] -= c * dc
-        return PolyQ(q), PolyQ(r[:dd])
+        if len(self.prim) < len(d.prim):
+            return PolyQ(), self
+        s, q, r = _pseudo_divmod(self.prim, d.prim)
+        c = self.content / s
+        return self._from_ints(c / d.content, q), self._from_ints(c, r)
 
     def __floordiv__(self, other):
         o = self._coerce(other)
@@ -175,13 +322,13 @@ class PolyQ(DensePoly):
         return self.divmod(o)[1]
 
     def evaluate(self, q) -> Fraction:
-        v = Fraction(0)
-        for c in reversed(self.coeffs):
+        v = 0
+        for c in reversed(self.prim):
             v = v * q + c
-        return v
+        return self.content * v
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.prim:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -204,13 +351,24 @@ class PolyQ(DensePoly):
 Q_VAR = PolyQ((0, 1))
 #: the weight factor 1 - q of the q-letter product
 ONE_MINUS_Q = PolyQ((1, -1))
+_ONE = PolyQ((1,))
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
+    """Monic gcd by the primitive remainder sequence over Z; gcd(0, 0) = 0.
+
+    Each step replaces (u, v) by v and the primitive part of an integer
+    pseudo-remainder of u by v, so no rational arithmetic runs until the
+    last nonzero remainder is made monic.
+    """
+    u, v = a.prim, b.prim
+    if len(u) < len(v):
+        u, v = v, u
+    if not u:
+        return PolyQ()
+    while v:
+        u, v = v, _primitive(_pseudo_divmod(u, v)[2])[1]
+    return PolyQ._make(Fraction(1, u[-1]), u)
 
 
 class RatFuncQ:
@@ -218,7 +376,7 @@ class RatFuncQ:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=PolyQ((1,))):
+    def __init__(self, num, den=_ONE):
         if not isinstance(num, PolyQ):
             num = PolyQ((num,))
         if not isinstance(den, PolyQ):
@@ -226,16 +384,18 @@ class RatFuncQ:
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
         if not num:
-            den = PolyQ((1,))
+            den = _ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lc = den.leading()
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den.monic()
+            # num/den = (num.content/den.content) * pn/pd; the primitive
+            # parts divide exactly over Z by the gcd's primitive part
+            pn, pd = num.prim, den.prim
+            g = poly_gcd(num, den).prim
+            if len(g) > 1:
+                pn = tuple(_pseudo_divmod(pn, g)[1])
+                pd = tuple(_pseudo_divmod(pd, g)[1])
+            lc = pd[-1]
+            num = PolyQ._make(num.content / (den.content * lc), pn)
+            den = PolyQ._make(Fraction(1, lc), pd)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -308,7 +468,8 @@ class RatFuncQ:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self.den == PolyQ((1,)) and self.num.degree <= 0:
+        # the denominator is monic, so degree 0 means it is 1
+        if self.den.degree == 0 and self.num.degree <= 0:
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
@@ -319,7 +480,7 @@ class RatFuncQ:
         return self.num.evaluate(q) / d
 
     def __str__(self):
-        if self.den == PolyQ((1,)):
+        if self.den.degree == 0:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

@@ -74,7 +74,7 @@ def _as_ratfunc(c) -> RatFuncQ:
 class XPoly(DensePoly):
     """Polynomial in x with rational-function-in-q coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
     _coeff = staticmethod(_as_ratfunc)
     _zero = RatFuncQ(PolyQ())
     _scalars = (int, Fraction, PolyQ, RatFuncQ)

@@ -1,8 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbmzv import coefficients
@@ -26,6 +27,59 @@ nonzero_polys = polys.filter(bool)
 
 def P(*coeffs):
     return PolyQ(coeffs)
+
+
+# --- test-local reference: dense lists of Fractions, constant term first ---
+
+def ref(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+               for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_divmod(a, d):
+    r = list(a)
+    q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = c = r[k + len(d) - 1] / d[-1]
+        for i, dc in enumerate(d):
+            r[k + i] -= c * dc
+    return ref(q), ref(r[:len(d) - 1])
+
+
+def ref_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over Q; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def ref_str(cs):
+    parts = []
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        term = str(abs(c)) if i == 0 else (
+            ("q" if i == 1 else f"q^{i}") if abs(c) == 1
+            else f"{abs(c)}*{'q' if i == 1 else f'q^{i}'}")
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"
 
 
 class TestPolyQ:
@@ -148,6 +202,161 @@ class TestRatFuncQ:
         r = RatFuncQ(Q_VAR, ONE_MINUS_Q)  # q/(1-q)
         assert r.evaluate(Fraction(1, 2)) == 1
         assert r.evaluate(Fraction(1, 3)) == Fraction(1, 2)
+
+
+def gcd_operands(max_degree):
+    # g*u and g*v with deg g + deg u, deg g + deg v <= max_degree
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    def poly(n):
+        return st.lists(small, max_size=n + 1).map(PolyQ)
+    return st.integers(0, 8).flatmap(lambda dg: st.tuples(
+        poly(dg), poly(max_degree - dg), poly(max_degree - dg)))
+
+
+class TestPolyGcd:
+    @given(gcd_operands(24))
+    @settings(max_examples=150, deadline=None)
+    @example((P(1), PolyQ(), PolyQ()))  # zero and zero
+    @example((P(1), PolyQ(), P(3, -2)))  # zero and nonzero
+    @example((P(1), P(Fraction(-5, 2)), P(7)))  # constants
+    @example((P(1, 2, 3), P(-1, 0, 1), P(-1, 0, 1)))  # equal operands
+    @example((P(Fraction(1, 3), -2), P(4, 0, -6), P(-1, -1)))  # negative leading
+    def test_matches_euclid_over_q(self, guv):
+        g, u, v = guv
+        a, b = g * u, g * v
+        got = poly_gcd(a, b)
+        assert got.coeffs == tuple(ref_gcd(ref(a.coeffs), ref(b.coeffs)))
+        assert poly_gcd(b, a) == got
+
+    def test_gcd_of_zero_is_zero(self):
+        assert poly_gcd(PolyQ(), PolyQ()) == PolyQ()
+        assert poly_gcd(PolyQ(), P(-2, 4)) == P(Fraction(-1, 2), 1)
+
+    def test_negative_leading_gcd_is_monic(self):
+        g = P(3, -6)  # -6q + 3: its monic form is q - 1/2
+        assert poly_gcd(g * P(1, 1), g * P(2, 0, -5)) == P(Fraction(-1, 2), 1)
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("make", [
+        lambda: PolyQ([0.1]),
+        lambda: PolyQ((1, 2.5)),
+        lambda: P(1) + PolyQ([Fraction(1, 3), 1e-3]),
+        lambda: RatFuncQ(P(1), 2.5),
+        lambda: RatFuncQ(0.5),
+        lambda: XPoly([0, 0.1]),
+    ], ids=["polyq", "polyq-second", "polyq-mixed", "ratfunc-den",
+            "ratfunc-num", "xpoly"])
+    def test_float_coefficient_raises(self, make):
+        # a float is not an exact rational: 0.1 would silently become
+        # 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            make()
+
+
+class TestPolyQReference:
+    @given(coeff_lists, coeff_lists)
+    def test_ring_ops_match_reference(self, a, b):
+        x, y = PolyQ(a), PolyQ(b)
+        ra, rb = ref(a), ref(b)
+        neg_rb = [-c for c in rb]
+        assert (x + y).coeffs == tuple(ref_add(ra, rb))
+        assert (x - y).coeffs == tuple(ref_add(ra, neg_rb))
+        assert (-y).coeffs == tuple(neg_rb)
+        assert (x * y).coeffs == tuple(ref_mul(ra, rb))
+        assert (x * Fraction(-3, 4)).coeffs == tuple(ref_mul(ra, [Fraction(-3, 4)]))
+        assert (2 - x).coeffs == tuple(ref_add([Fraction(2)], [-c for c in ra]))
+
+    @given(coeff_lists, coeff_lists.filter(lambda c: any(c)))
+    def test_division_matches_reference(self, a, d):
+        x, y = PolyQ(a), PolyQ(d)
+        q, r = ref_divmod(ref(a), ref(d))
+        got_q, got_r = x.divmod(y)
+        assert (got_q.coeffs, got_r.coeffs) == (tuple(q), tuple(r))
+        assert (x // y, x % y) == (got_q, got_r)
+        rd = ref(d)
+        assert y.monic().coeffs == tuple(c / rd[-1] for c in rd)
+        assert y.leading() == rd[-1]
+
+    @given(coeff_lists, rationals)
+    def test_evaluate_matches_reference(self, a, t):
+        value = sum((c * t ** i for i, c in enumerate(ref(a))), Fraction(0))
+        got = PolyQ(a).evaluate(t)
+        assert type(got) is Fraction and got == value
+        assert PolyQ(a).evaluate(3) == sum(
+            (c * 3 ** i for i, c in enumerate(ref(a))), Fraction(0))
+
+    @given(coeff_lists)
+    def test_views_match_reference(self, a):
+        x, ra = PolyQ(a), ref(a)
+        assert x.coeffs == tuple(ra)
+        assert all(type(c) is Fraction for c in x.coeffs)
+        assert x.degree == len(ra) - 1 and bool(x) == bool(ra)
+        assert list(x) == ra
+        assert [x[i] for i in range(len(ra) + 3)] == ra + [0, 0, 0]
+        assert type(x[len(ra)]) is Fraction and x[-1] == 0
+        assert str(x) == ref_str(ra)
+        assert repr(x) == f"PolyQ({ra!r})"
+        assert x == PolyQ(ra) and hash(x) == hash(PolyQ(ra))
+        if len(ra) > 1:
+            assert hash(x) == hash(tuple(ra))
+
+    @given(coeff_lists)
+    def test_stored_form_is_content_times_primitive(self, a):
+        x = PolyQ(a)
+        assert type(x.content) is Fraction
+        assert all(type(c) is int for c in x.prim)
+        if x:
+            assert math.gcd(*x.prim) == 1 and x.prim[-1] > 0
+            assert x.content != 0
+        else:
+            assert x.prim == () and x.content == 0
+
+    @given(rationals)
+    def test_constants_compare_and_hash_like_scalars(self, c):
+        x = PolyQ([c])
+        assert x == c and c == x and hash(x) == hash(c)
+        if c.denominator == 1:
+            n = int(c)
+            assert x == n and n == x and hash(x) == hash(n)
+        assert x == XPoly([c]) and XPoly([c]) == x
+        assert x != P(c, 1) and P(c, 1) != c
+        assert hash(PolyQ()) == hash(0)
+
+
+class TestRatFuncQCanonical:
+    @given(polys, nonzero_polys)
+    def test_canonical_form(self, a, b):
+        r = RatFuncQ(a, b)
+        assert r.den.leading() == 1
+        rn, rd = ref(r.num.coeffs), ref(r.den.coeffs)
+        # same value: num * b == a * den
+        assert ref_mul(rn, ref(b.coeffs)) == ref_mul(ref(a.coeffs), rd)
+        if a:
+            assert ref_gcd(rn, rd) == [1]
+        else:
+            assert r.num == PolyQ() and r.den.coeffs == (1,)
+
+    @given(polys, nonzero_polys, polys, nonzero_polys)
+    @settings(max_examples=50)
+    def test_arithmetic_results_are_canonical(self, a, b, c, d):
+        x, y = RatFuncQ(a, b), RatFuncQ(c, d)
+        for out in (x + y, x - y, x * y, -x):
+            assert out.den.leading() == 1
+            if out:
+                assert ref_gcd(ref(out.num.coeffs), ref(out.den.coeffs)) == [1]
+            else:
+                assert out.den.coeffs == (1,)
+
+    def test_unit_denominator_renders_and_hashes_as_numerator(self):
+        r = RatFuncQ(P(Fraction(3, 2)), P(3))  # 1/2
+        assert str(r) == "1/2" and hash(r) == hash(Fraction(1, 2))
+        s = RatFuncQ(P(0, 2), P(4))  # q/2
+        assert str(s) == "1/2*q" and hash(s) == hash((s.num.coeffs, s.den.coeffs))
+        t = RatFuncQ(Q_VAR, ONE_MINUS_Q)  # q/(1-q) = -q/(q-1)
+        assert str(t) == "(-q) / (-1 + q)"
+        assert repr(t) == ("RatFuncQ(PolyQ([Fraction(0, 1), Fraction(-1, 1)]), "
+                           "PolyQ([Fraction(-1, 1), Fraction(1, 1)]))")
 
 
 def series(order, *coeffs):
