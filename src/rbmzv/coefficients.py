@@ -14,7 +14,9 @@ over Z (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971), made monic
 once at the end.  Rational functions are kept in canonical form (coprime,
 monic denominator) so equality is a tuple comparison.  Truncated series
 work over any coefficient module whose elements support ``+``, ``*`` and
-left-multiplication by a Fraction.
+left-multiplication by a Fraction; their exp and log run by first-order
+recurrences (Knuth, TAOCP Vol. 2, 4.7), which need a commutative,
+associative product.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class DensePoly:
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # the default copy and pickle paths restore slots by setattr
+        return type(self), (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -402,6 +408,9 @@ class RatFuncQ:
     def __setattr__(self, *a):
         raise AttributeError("RatFuncQ is immutable")
 
+    def __reduce__(self):
+        return RatFuncQ, (self.num, self.den)
+
     def _coerce(self, other):
         if isinstance(other, RatFuncQ):
             return other
@@ -468,8 +477,9 @@ class RatFuncQ:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # the denominator is monic, so degree 0 means it is 1
-        if self.den.degree == 0 and self.num.degree <= 0:
+        # the denominator is monic, so degree 0 means it is 1 and the
+        # value equals its numerator
+        if self.den.degree == 0:
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
@@ -494,6 +504,11 @@ class TruncSeries:
     Coefficients live in any module with ``+``, a bilinear ``*`` (or the
     ``mul`` callable supplied here) and scalar multiplication by Fraction
     from the left.  ``one`` is the multiplicative unit of the module.
+    ``series_exp`` and ``series_log1p`` take O(order^2) products by the
+    first-order recurrences n e_n = n a_n + sum_{k<n} k a_k e_{n-k} and
+    n l_n = n a_n - sum_{k<n} k l_k a_{n-k}; these equal the power sums
+    only when ``mul`` is commutative and associative (it need not have
+    ``one`` as a unit).
     """
 
     __slots__ = ("order", "coeffs", "one", "mul")
@@ -576,24 +591,54 @@ def _require_zero_constant(a: TruncSeries):
 
 
 def series_exp(a: TruncSeries) -> TruncSeries:
-    """exp(a) = sum a^n / n!, for a with zero constant term."""
+    """exp(a) = sum a^n / n!, for a with zero constant term.
+
+    Differentiating e = exp(a) gives e' = a' e, so the coefficients follow
+    the first-order recurrence (Knuth, TAOCP Vol. 2, 4.7)
+
+        n e_n = n a_n + sum_{k=1}^{n-1} k a_k e_{n-k},
+
+    which takes O(order^2) products against the result's own coefficients
+    instead of forming every power a^n.  The k = n term n a_n e_0 is taken
+    without a product, so ``mul`` never meets the unit and a non-unital
+    product (such as the star product) works too.  The recurrence equals
+    the power sum for any commutative, associative, bilinear ``mul``;
+    products with a zero coefficient of a are skipped.
+    """
     _require_zero_constant(a)
-    # starts from the degree-1 term, so the product never meets the unit
-    # and a non-unital product (such as the star product) works too
-    result = a.unit() + a
-    term = a
-    for n in range(2, a.order + 1):
-        term = (term * a).scale(Fraction(1, n))
-        result = result + term
-    return result
+    mul, order = a.mul, a.order
+    da = [k * c for k, c in enumerate(a.coeffs)]  # k a_k
+    e = [a.one]
+    for n in range(1, order + 1):
+        s = da[n]
+        for k in range(1, n):
+            if da[k]:
+                s = s + mul(da[k], e[n - k])
+        e.append(Fraction(1, n) * s)
+    return TruncSeries(order, e, a.one, mul)
 
 
 def series_log1p(a: TruncSeries) -> TruncSeries:
-    """log(1 + a) = sum (-1)^(n-1) a^n / n, for a with zero constant term."""
+    """log(1 + a) = sum (-1)^(n-1) a^n / n, for a with zero constant term.
+
+    Differentiating l = log(1 + a) gives l' + a l' = a', so
+
+        n l_n = n a_n - sum_{k=1}^{n-1} k l_k a_{n-k},
+
+    O(order^2) products against the result's own coefficients, none of
+    them by the unit.  The recurrence equals the power sum for any
+    commutative, associative, bilinear ``mul``; products with a zero
+    coefficient of a are skipped.
+    """
     _require_zero_constant(a)
-    result = a.zero()
-    power = a.unit()
-    for n in range(1, a.order + 1):
-        power = power * a
-        result = result + power.scale(Fraction((-1) ** (n - 1), n))
-    return result
+    mul, order, cs = a.mul, a.order, a.coeffs
+    neg = [(-1) * c for c in cs]
+    dl, log = [cs[0]], [cs[0]]  # k l_k and l_k
+    for n in range(1, order + 1):
+        s = n * cs[n]
+        for j in range(1, n):
+            if cs[j]:
+                s = s + mul(dl[n - j], neg[j])
+        dl.append(s)
+        log.append(Fraction(1, n) * s)
+    return TruncSeries(order, log, a.one, mul)

@@ -1,5 +1,9 @@
+import copy
 import itertools
 import math
+import operator
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +21,11 @@ from rbmzv.coefficients import (
     series_exp,
     series_log1p,
 )
+from rbmzv.letters import COMPOSITION
 from rbmzv.operator_gallery import XPoly
+from rbmzv.tensor_algebra import ShaAlgebra
+
+from conftest import random_sha_element
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 coeff_lists = st.lists(rationals, max_size=5)
@@ -67,6 +75,13 @@ def ref_gcd(a, b):
     while b:
         a, b = b, ref_divmod(a, b)[1]
     return [c / a[-1] for c in a] if a else a
+
+
+def random_cubic(seed):
+    rng = random.Random(seed)
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)]
+    cs[-1] = cs[-1] or Fraction(1)
+    return PolyQ(cs)
 
 
 def ref_str(cs):
@@ -352,15 +367,81 @@ class TestRatFuncQCanonical:
         r = RatFuncQ(P(Fraction(3, 2)), P(3))  # 1/2
         assert str(r) == "1/2" and hash(r) == hash(Fraction(1, 2))
         s = RatFuncQ(P(0, 2), P(4))  # q/2
-        assert str(s) == "1/2*q" and hash(s) == hash((s.num.coeffs, s.den.coeffs))
+        assert str(s) == "1/2*q" and hash(s) == hash(s.num)
         t = RatFuncQ(Q_VAR, ONE_MINUS_Q)  # q/(1-q) = -q/(q-1)
         assert str(t) == "(-q) / (-1 + q)"
         assert repr(t) == ("RatFuncQ(PolyQ([Fraction(0, 1), Fraction(-1, 1)]), "
                            "PolyQ([Fraction(-1, 1), Fraction(1, 1)]))")
 
+    @pytest.mark.parametrize("p", [P(1, 1), random_cubic(7)],
+                             ids=["1+q", "random-cubic"])
+    def test_equal_values_hash_equal(self, p):
+        # a unit denominator makes a RatFuncQ equal to its numerator, and a
+        # constant XPoly equal to its coefficient, whatever the degree
+        for x in (RatFuncQ(p), XPoly([p]), XPoly([RatFuncQ(p)])):
+            assert x == p and hash(x) == hash(p)
+            assert x in {p} and p in {x}
+
+
+@pytest.mark.parametrize("value", [
+    P(1, 1),
+    P(Fraction(-2, 3), 0, 5),
+    PolyQ(),
+    RatFuncQ(P(1, 2), P(3, 0, 1)),
+    RatFuncQ(P(1, 1)),
+    XPoly([RatFuncQ(P(1, 1), P(0, 2)), 3, Fraction(1, 2)]),
+    XPoly([]),
+], ids=["poly", "poly-fraction", "poly-zero", "ratfunc", "ratfunc-unit-den",
+        "xpoly", "xpoly-zero"])
+@pytest.mark.parametrize("round_trip", [
+    lambda v: pickle.loads(pickle.dumps(v)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_round_trip(value, round_trip):
+    out = round_trip(value)
+    assert type(out) is type(value)
+    assert out == value and hash(out) == hash(value)
+    assert repr(out) == repr(value)
+
 
 def series(order, *coeffs):
     return TruncSeries(order, [Fraction(c) for c in coeffs])
+
+
+# --- test-local references: exp and log as sums of truncated powers ---
+
+def ref_series_exp(a):
+    """exp(a) = sum a^n / n!; the powers start from a, never the unit."""
+    result = a.unit() + a
+    term = a
+    for n in range(2, a.order + 1):
+        term = (term * a).scale(Fraction(1, n))
+        result = result + term
+    return result
+
+
+def ref_series_log1p(a):
+    """log(1 + a) = sum (-1)^(n-1) a^n / n; the powers start from a."""
+    result = a.zero()
+    power = a
+    for n in range(1, a.order + 1):
+        if n > 1:
+            power = power * a
+        result = result + power.scale(Fraction((-1) ** (n - 1), n))
+    return result
+
+
+zero_constant_series = st.integers(0, 10).flatmap(
+    lambda order: st.lists(rationals, min_size=order, max_size=order).map(
+        lambda cs: TruncSeries(order, [Fraction(0)] + cs)))
+
+
+def random_sha_series(alg, mul, order, seed, **sizes):
+    rng = random.Random(seed)
+    coeffs = [alg.zero()] + [
+        random_sha_element(alg, rng, **sizes) for _ in range(order)]
+    return TruncSeries(order, coeffs, alg.one(), mul)
 
 
 class TestTruncSeries:
@@ -401,6 +482,27 @@ class TestTruncSeries:
             series_exp(series(2, 1, 1))
         with pytest.raises(ValueError):
             series_log1p(series(2, 1))
+
+    @given(zero_constant_series)
+    @settings(max_examples=60, deadline=None)
+    def test_recurrences_match_power_sums(self, a):
+        assert series_exp(a) == ref_series_exp(a)
+        assert series_log1p(a) == ref_series_log1p(a)
+
+    @pytest.mark.parametrize("product", ["sha", "star"])
+    @given(order=st.integers(0, 5), seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_recurrences_match_power_sums_in_sha(self, product, order, seed):
+        alg = ShaAlgebra(COMPOSITION, 1)
+        if product == "sha":
+            a = random_sha_series(alg, operator.mul, order, seed)
+        else:
+            # star powers lengthen every tail, so a^5 of the default
+            # three-term elements can run for seconds; one short word each
+            a = random_sha_series(alg, alg.star, order, seed,
+                                  max_terms=1, max_tail=1)
+        assert series_exp(a) == ref_series_exp(a)
+        assert series_log1p(a) == ref_series_log1p(a)
 
     @pytest.mark.parametrize("order", range(1, 9))
     def test_exp_log_round_trip(self, order, rng):

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
 from rbmzv import ShaAlgebra
+from rbmzv.cli import canonical_json
 from rbmzv.identity_engine import (
     _mod_p_failure,
     bohnenblust_spitzer_check,
@@ -62,7 +64,7 @@ class TestSpitzer:
         pa = alg.p(alg.j(1))
         assert pa * pa == 2 * alg.pure(None, (1, 1)) + alg.pure(None, (2,))
 
-    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("order", range(1, 9))
     def test_verdict_equal(self, order):
         assert spitzer_check(order).equal
 
@@ -78,7 +80,7 @@ class TestSpitzer:
 
 
 class TestExpStarLog:
-    @pytest.mark.parametrize("order", range(1, 6))
+    @pytest.mark.parametrize("order", range(1, 9))
     def test_verdict_equal(self, order):
         assert exp_star_log_check(order).equal
 
@@ -87,6 +89,16 @@ class TestExpStarLog:
         assert rep.name == "expstar"
         assert rep.first_diff is None
         assert "a^1" in rep.lhs
+
+
+def test_series_reports_pinned():
+    # every order the checks accept; the digest is that of the reports
+    # computed with exp and log as sums of truncated powers
+    reports = [spitzer_check(k) for k in range(1, 9)]
+    reports += [exp_star_log_check(k) for k in range(1, 9)]
+    text = canonical_json([r.to_json() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "861838e1776520e4f8d89484cf4da254d0ad31a9ba1aad1fe011732b4d50bba2")
 
 
 class TestBohnenblustSpitzer:
