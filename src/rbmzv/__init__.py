@@ -1,13 +1,12 @@
 """Free commutative Rota-Baxter algebras, multiple zeta values and their
-q-analogs: exact mixable/quasi-shuffle products, symbolic identity
-verification, double-shuffle relation generation and numeric checks by
-truncated nested sums.
+q-analogs: exact mixable shuffle products (the quasi-shuffle is their
+weight-1 case), symbolic identity verification, double-shuffle relation
+generation and numeric checks by truncated nested sums.
 """
 
 from .coefficients import (
     ONE_MINUS_Q,
     PolyQ,
-    Q_VAR,
     RatFuncQ,
     TruncSeries,
     poly_gcd,
@@ -24,7 +23,6 @@ from .letters import (
     CompositionLetters,
     LetterSystem,
     MonomialLetters,
-    PolylogLetters,
     QLetters,
     WordLetters,
 )
@@ -32,9 +30,6 @@ from .tensor_algebra import (
     ShaAlgebra,
     ShaElement,
     mixable_shuffle,
-    mixable_shuffle_direct,
-    quasi_shuffle,
-    render_lincomb,
     render_word,
 )
 from .identity_engine import (

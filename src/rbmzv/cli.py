@@ -282,7 +282,7 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
     )
     entries = []
     for rel, generator, params in relations:
-        residual = numeric_eval.eval_relation(rel, cfg, values)
+        residual = numeric_eval.eval_relation(rel, values)
         entries.append({
             "weight": rel.max_weight(),
             "generator": generator,

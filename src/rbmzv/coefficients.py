@@ -13,7 +13,7 @@ integer gcd.  ``poly_gcd`` is the primitive polynomial remainder sequence
 over Z (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971), made monic
 once at the end.  Rational functions are kept in canonical form (coprime,
 monic denominator) so equality is a tuple comparison.  Truncated series
-work over any coefficient module whose elements support ``+``, ``*`` and
+(only exp and log act on them) work over any coefficient module whose elements support ``+``, ``*`` and
 left-multiplication by a Fraction; their exp and log run by first-order
 recurrences (Knuth, TAOCP Vol. 2, 4.7), which need a commutative,
 associative product.
@@ -141,11 +141,6 @@ class DensePoly:
             # constants hash like their coefficient, so they match scalars
             return hash(self.coeffs[0] if self.coeffs else self._zero)
         return hash(self.coeffs)
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)!r})"
@@ -301,32 +296,6 @@ class PolyQ(DensePoly):
     # their coefficient
     __hash__ = DensePoly.__hash__
 
-    def monic(self) -> "PolyQ":
-        if not self.prim:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._make(Fraction(1, self.prim[-1]), self.prim)
-
-    def divmod(self, d: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero")
-        if len(self.prim) < len(d.prim):
-            return PolyQ(), self
-        s, q, r = _pseudo_divmod(self.prim, d.prim)
-        c = self.content / s
-        return self._from_ints(c / d.content, q), self._from_ints(c, r)
-
-    def __floordiv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.divmod(o)[0]
-
-    def __mod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.divmod(o)[1]
-
     def evaluate(self, q) -> Fraction:
         v = 0
         for c in reversed(self.prim):
@@ -353,8 +322,6 @@ class PolyQ(DensePoly):
         return " ".join(parts)
 
 
-#: the formal variable q
-Q_VAR = PolyQ((0, 1))
 #: the weight factor 1 - q of the q-letter product
 ONE_MINUS_Q = PolyQ((1, -1))
 _ONE = PolyQ((1,))
@@ -483,12 +450,6 @@ class RatFuncQ:
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
-    def evaluate(self, q) -> Fraction:
-        d = self.den.evaluate(q)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return self.num.evaluate(q) / d
-
     def __str__(self):
         if self.den.degree == 0:
             return str(self.num)
@@ -499,7 +460,8 @@ class RatFuncQ:
 
 
 class TruncSeries:
-    """Power series in t truncated at a fixed order.
+    """Power series in t truncated at a fixed order: the input and output
+    of ``series_exp`` and ``series_log1p``, with no arithmetic of its own.
 
     Coefficients live in any module with ``+``, a bilinear ``*`` (or the
     ``mul`` callable supplied here) and scalar multiplication by Fraction
@@ -524,52 +486,6 @@ class TruncSeries:
         self.one = one
         self.mul = mul
 
-    def _check(self, other: "TruncSeries"):
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} vs {other.order}"
-            )
-
-    def unit(self) -> "TruncSeries":
-        return TruncSeries(self.order, [self.one], self.one, self.mul)
-
-    def zero(self) -> "TruncSeries":
-        return TruncSeries(self.order, [], self.one, self.mul)
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncSeries(
-            self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.one,
-            self.mul,
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncSeries(
-            self.order,
-            [a + (-1) * b for a, b in zip(self.coeffs, other.coeffs)],
-            self.one,
-            self.mul,
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        zero = 0 * self.one
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            for j in range(self.order + 1 - i):
-                out[i + j] = out[i + j] + self.mul(a, other.coeffs[j])
-        return TruncSeries(self.order, out, self.one, self.mul)
-
-    def scale(self, c) -> "TruncSeries":
-        return TruncSeries(
-            self.order, [c * a for a in self.coeffs], self.one, self.mul
-        )
-
     def map(self, f) -> "TruncSeries":
         return TruncSeries(
             self.order, [f(a) for a in self.coeffs], self.one, self.mul
@@ -579,9 +495,6 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __str__(self):
-        return " + ".join(f"({c})*t^{i}" for i, c in enumerate(self.coeffs))
 
 
 def _require_zero_constant(a: TruncSeries):

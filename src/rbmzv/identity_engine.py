@@ -171,20 +171,21 @@ def bohnenblust_spitzer_check(n: int) -> IdentityReport:
     return _element_compare("bohnenblust_spitzer", {"n": n}, lhs, rhs)
 
 
-def freshman_power(w: tuple, p: int, system=COMPOSITION) -> dict:
-    """p-th power of the pure tensor 1 (x) w under the Sha product.
+def freshman_power(w: tuple, p: int) -> dict:
+    """p-th power of the pure tensor 1 (x) w under the Sha product over
+    composition letters.
 
     Returns the tail combination {word: integer coefficient}.  The unit
-    head multiplies trivially, so this is the weight-1 quasi-shuffle of p
-    copies of w (for ``COMPOSITION`` letters the p-th stuffle power),
-    computed in one pass by ``_msh_power``.
+    head multiplies trivially, so this is the p-th stuffle power of w (the
+    weight-1 quasi-shuffle of p copies), computed in one pass by
+    ``_msh_power``.
     """
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be a prime in {2, 3, 5, 7}")
     w = tuple(w)
     if not w:
         raise ValueError("word must be nonempty")
-    return _msh_power(system, w, p)
+    return _msh_power(COMPOSITION, w, p)
 
 
 def _mod_p_failure(power: dict, target: tuple, p: int) -> str | None:

@@ -1,5 +1,5 @@
-"""Concrete letter algebras: composition letters, q-letters, binary word
-letters, polylogarithm letters and monomial letters.
+"""Concrete letter algebras: composition letters, monomial letters,
+q-letters and the binary word letters of the iterated-integral encoding.
 
 A letter is a hashable payload; a system supplies the (commutative,
 associative) letter product and text rendering.
@@ -76,34 +76,6 @@ class WordLetters(LetterSystem):
 
     def letter_str(self, payload):
         return "x0" if payload == X0 else "x1"
-
-
-class PolylogLetters(LetterSystem):
-    """Letters (s, z-exponent vector) for multiple polylogarithms.
-
-    The z part is a formal multiplicative symbol: an exponent vector over a
-    fixed finite alphabet z1..zm, multiplied by componentwise addition.
-    """
-
-    name = "polylog"
-
-    def __init__(self, nsymbols: int):
-        if nsymbols < 1:
-            raise ValueError("need at least one z symbol")
-        self.nsymbols = nsymbols
-
-    def product(self, x, y):
-        (s, ze), (t, we) = x, y
-        if len(ze) != self.nsymbols or len(we) != self.nsymbols:
-            raise ValueError("exponent vector length mismatch")
-        return [(1, (s + t, tuple(a + b for a, b in zip(ze, we))))]
-
-    def letter_str(self, payload):
-        s, exps = payload
-        zs = " ".join(
-            f"z{i + 1}^{e}" for i, e in enumerate(exps) if e != 0
-        )
-        return f"({s}; {zs})" if zs else f"({s};)"
 
 
 COMPOSITION = CompositionLetters()

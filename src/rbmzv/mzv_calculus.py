@@ -59,10 +59,6 @@ def weight(s: Composition) -> int:
     return sum(s)
 
 
-def depth(s: Composition) -> int:
-    return len(s)
-
-
 def parse_composition(text: str) -> Composition:
     try:
         s = tuple(int(p) for p in text.split(","))

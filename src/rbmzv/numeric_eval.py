@@ -72,8 +72,18 @@ class EvalConfig:
             raise ValueError("truncation K must be >= 1")
         if not 0 < self.q < 1:
             raise ValueError("q must lie in (0, 1)")
+        # the walks compute in floats: a q that rounds to 0 or 1 takes the
+        # log of 0 or divides by 1 - q = 0, and a huge x overflows
+        if not 0.0 < float(self.q) < 1.0:
+            raise ValueError("q must round to a float in (0, 1)")
         if self.x < 0:
             raise ValueError("Hurwitz offset x must be >= 0")
+        try:
+            finite = math.isfinite(float(self.x))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("Hurwitz offset x must round to a finite float")
 
 
 @dataclass
@@ -377,15 +387,12 @@ def eval_monomial(m: tuple, values: dict) -> float:
     return value
 
 
-def eval_relation(r: Relation, cfg: EvalConfig | None = None,
-                  values: dict | None = None) -> float:
+def eval_relation(r: Relation, values: dict) -> float:
     """Absolute residual of a relation under numeric evaluation.
 
     ``values`` is a ``zeta_values`` result holding every composition of
-    ``r``; without it they are evaluated here in one walk.
+    ``r``.
     """
-    if values is None:
-        values = zeta_values(r.compositions(), cfg)
     total = 0.0
     for m, c in r.terms:
         total += float(c) * eval_monomial(m, values)

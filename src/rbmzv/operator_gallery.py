@@ -42,14 +42,6 @@ def z_rb_defect(f: list, g: list) -> list:
     return [a - b - c - d for a, b, c, d in zip(lhs, rhs1, rhs2, rhs3)]
 
 
-def z_nested(fs: list[list]) -> list:
-    """Z[f1 Z[f2 ... Z[fn]...]] on a common window."""
-    acc = z_apply(fs[-1])
-    for f in reversed(fs[:-1]):
-        acc = z_apply(seq_mul(f, acc))
-    return acc
-
-
 # --- polynomial integration --------------------------------------------------
 
 def integrate(f) -> PolyQ:
@@ -82,12 +74,6 @@ class XPoly(DensePoly):
     def shift_x(self) -> "XPoly":
         """Multiply by x."""
         return XPoly((self._zero,) + self.coeffs)
-
-    def evaluate(self, xval: Fraction, qval: Fraction) -> Fraction:
-        v = Fraction(0)
-        for c in reversed(self.coeffs):
-            v = v * xval + c.evaluate(qval)
-        return v
 
     def __str__(self):
         if not self.coeffs:

@@ -1,5 +1,5 @@
-"""Tensor words, mixable shuffle, quasi-shuffle and the free commutative
-Rota-Baxter algebra Sha(A) with its shift operator.
+"""Tensor words, the mixable shuffle and the free commutative Rota-Baxter
+algebra Sha(A) with its shift operator.
 
 Words are tuples of letter payloads (see ``letters``).  Linear
 combinations of words are plain dicts word -> coefficient with zero
@@ -8,7 +8,8 @@ unitarized word algebra.  Elements of Sha(A) are handled by ``ShaAlgebra``
 / ``ShaElement``; there the distinguished payload ``None`` is the unit
 letter of the unitarization of A.
 
-The mixable shuffle, the quasi-shuffle (its weight-1 case) and the Sha(A)
+Hoffman's quasi-shuffle is the weight-1 mixable shuffle,
+``mixable_shuffle(system, a, b, 1)``.  The mixable shuffle and the Sha(A)
 product share one recursion, ``_msh``.  Its memo is created by each
 top-level product and lives only for that product, so it is keyed on the
 suffix pair alone and can never return a result computed for another
@@ -158,80 +159,12 @@ def _msh_power(system, word, p):
     return rec((p,) + (0,) * (n - 1))
 
 
-def _multiset_perms(counts):
-    """All distinct sequences over the keys of ``counts`` with those counts."""
-    if all(v == 0 for v in counts.values()):
-        yield ()
-        return
-    for k, v in counts.items():
-        if v:
-            counts[k] -= 1
-            for rest in _multiset_perms(counts):
-                yield (k,) + rest
-            counts[k] += 1
-
-
-def mixable_shuffle_direct(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb:
-    """Mixable shuffle by direct enumeration of all mixable shuffles.
-
-    A mixable shuffle is encoded as a pattern over {A, B, M}: take the
-    next letter of a, of b, or merge the next letters of both.  This is
-    independent of the recursion in ``mixable_shuffle`` and serves as its
-    cross-validation oracle.
-    """
-    _check_weight(system, weight)
-    a, b = tuple(a), tuple(b)
-    m, n = len(a), len(b)
-    out: dict = {}
-    for k in range(0, min(m, n) + 1):
-        if k > 0 and not weight:
-            break
-        for pattern in _multiset_perms({"A": m - k, "B": n - k, "M": k}):
-            terms = [(1, ())]
-            i = j = 0
-            for step in pattern:
-                if step == "A":
-                    terms = [(c, w + (a[i],)) for c, w in terms]
-                    i += 1
-                elif step == "B":
-                    terms = [(c, w + (b[j],)) for c, w in terms]
-                    j += 1
-                else:
-                    prod = _unit_product(system, a[i], b[j])
-                    terms = [
-                        (c * weight * pc, w + (p,))
-                        for c, w in terms
-                        for pc, p in prod
-                    ]
-                    i += 1
-                    j += 1
-            for c, w in terms:
-                _add_term(out, w, c)
-    return out
-
-
-def quasi_shuffle(system: LetterSystem, a: Word, b: Word) -> LinComb:
-    """Hoffman's quasi-shuffle with bracket given by the letter product:
-    the weight-1 mixable shuffle."""
-    return dict(_msh(system, tuple(a), tuple(b), 1, {}))
-
-
 def render_word(system: LetterSystem, w: Word, sep: str = "⊗") -> str:
     if not w:
         return "1"
     return sep.join(
         "1" if x is None else system.letter_str(x) for x in w
     )
-
-
-def render_lincomb(system: LetterSystem, lc: LinComb, sep: str = "⊗") -> str:
-    if not lc:
-        return "0"
-    parts = []
-    for w in sorted(lc, key=lambda w: (len(w), w)):
-        c = lc[w]
-        parts.append(f"{c}*{render_word(system, w, sep)}")
-    return " + ".join(parts)
 
 
 class ShaAlgebra:

@@ -180,6 +180,16 @@ class TestEval:
         assert out == ""
         assert f"error: malformed {flag[2:]} {value!r}" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--x", "1e400", "Hurwitz offset x must round to a finite float"),
+        ("--q", "1e-400", "q must round to a float in (0, 1)"),
+    ], ids=["x-overflows", "q-underflows"])
+    def test_value_without_a_float(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "eval", "--comp", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_truncation_k_positive(self, capsys, K):
         code, out, err = run(capsys, "eval", "--comp", "2", "--q", "1/2", "--K", K)

@@ -11,7 +11,6 @@ from rbmzv.letters import (
     WORD,
     X0,
     X1,
-    PolylogLetters,
 )
 
 
@@ -66,30 +65,6 @@ class TestWordLetters:
     def test_str(self):
         assert WORD.letter_str(X0) == "x0"
         assert WORD.letter_str(X1) == "x1"
-
-
-class TestPolylogLetters:
-    def test_product(self):
-        sys = PolylogLetters(2)
-        assert sys.product((2, (1, 0)), (3, (0, 2))) == [(1, (5, (1, 2)))]
-
-    def test_degree_and_str(self):
-        sys = PolylogLetters(2)
-        assert sys.letter_str((3, (1, 0))) == "(3; z1^1)"
-
-    def test_associative_commutative(self):
-        sys = PolylogLetters(1)
-        letters = [(s, (e,)) for s in range(1, 4) for e in range(3)]
-        for x, y in itertools.product(letters, repeat=2):
-            assert sys.product(x, y) == sys.product(y, x)
-        for x, y, z in itertools.product(letters[:4], repeat=3):
-            [(_, xy)] = sys.product(x, y)
-            [(_, yz)] = sys.product(y, z)
-            assert sys.product(xy, z) == sys.product(x, yz)
-
-    def test_exponent_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PolylogLetters(2).product((1, (1,)), (1, (0, 1)))
 
 
 class TestMonomialLetters:

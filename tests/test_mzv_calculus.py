@@ -13,7 +13,6 @@ from rbmzv.mzv_calculus import (
     comp_to_word,
     composition_str,
     congruence_zeta_relation,
-    depth,
     double_shuffle_relation,
     hoffman_partition_relation,
     is_admissible,
@@ -40,7 +39,6 @@ class TestCompositions:
 
     def test_weight_depth(self):
         assert weight((2, 1, 3)) == 6
-        assert depth((2, 1, 3)) == 3
 
     def test_admissibility(self):
         assert is_admissible((2, 1))
@@ -73,7 +71,7 @@ class TestStuffle:
 
     def test_depth_bounds(self):
         for c in stuffle((2, 1), (3, 4)):
-            assert max(2, 2) <= depth(c) <= 4
+            assert max(2, 2) <= len(c) <= 4
 
     def test_admissible_closed(self):
         for c in stuffle((2, 1), (3, 1, 1)):

@@ -49,6 +49,17 @@ class TestEvalConfig:
         with pytest.raises(ValueError, match="K must be >= 1"):
             EvalConfig(K=K)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", Fraction(10**400)),
+        ("x", math.inf),
+        ("q", Fraction(1, 10**400)),
+        ("q", 1 - Fraction(1, 10**400)),
+    ], ids=["x-overflows", "x-infinite", "q-rounds-to-0", "q-rounds-to-1"])
+    def test_value_without_a_usable_float(self, field, value):
+        # exact, and in range, but the float walks cannot use it
+        with pytest.raises(ValueError, match=f"{field} must round to a"):
+            EvalConfig(**{field: value})
+
     @pytest.mark.parametrize("name", ["N", "K"])
     @pytest.mark.parametrize("value", [100.5, 100.0, Fraction(201, 2)])
     def test_truncation_integral(self, name, value):
@@ -202,30 +213,36 @@ class TestOracle:
 
 
 class TestEvalRelation:
+    @staticmethod
+    def residual(r, cfg):
+        return eval_relation(r, zeta_values(r.compositions(), cfg))
+
     def test_empty_relation(self):
-        assert eval_relation(Relation((), "empty")) == 0.0
+        assert eval_relation(Relation((), "empty"), {}) == 0.0
 
     def test_double_shuffle_residual(self):
         r = double_shuffle_relation((2,), (2,))
-        assert eval_relation(r, EvalConfig(N=20_000)) < 1e-4
+        assert self.residual(r, EvalConfig(N=20_000)) < 1e-4
 
     def test_hoffman_residual_tiny(self):
         # stuffle-derived, exact at matched truncation
         r = hoffman_partition_relation((2, 3))
-        assert eval_relation(r, EvalConfig(N=5000)) < 1e-10
+        assert self.residual(r, EvalConfig(N=5000)) < 1e-10
 
     def test_spitzer_residual_tiny(self):
         r = spitzer_zeta_relation(2, 3)
-        assert eval_relation(r, EvalConfig(N=5000)) < 1e-10
+        assert self.residual(r, EvalConfig(N=5000)) < 1e-10
 
     def test_precomputed_values_used(self):
         cfg = EvalConfig(N=1000)
         r = hoffman_partition_relation((2, 2))
         values = zeta_values(r.compositions(), cfg)
         assert (2, 2) in values and (4,) in values
-        assert eval_relation(r, cfg, values) == eval_relation(r, cfg)
+        # the corpus build passes one walk's values for many relations
+        shared = zeta_values(r.compositions() + [(3,), (2, 1)], cfg)
+        assert eval_relation(r, shared) == eval_relation(r, values)
         ones = {comp: EvalResult(1.0, 0.0) for comp in values}
-        assert eval_relation(r, cfg, ones) == abs(sum(float(c) for _, c in r.terms))
+        assert eval_relation(r, ones) == abs(sum(float(c) for _, c in r.terms))
 
 
 # --- the suffix-trie walk against the per-composition recursion -----------
