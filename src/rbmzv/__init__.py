@@ -8,7 +8,6 @@ from .coefficients import (
     ONE_MINUS_Q,
     PolyQ,
     RatFuncQ,
-    TruncSeries,
     poly_gcd,
     series_exp,
     series_log1p,
@@ -20,11 +19,7 @@ from .letters import (
     WORD,
     X0,
     X1,
-    CompositionLetters,
     LetterSystem,
-    MonomialLetters,
-    QLetters,
-    WordLetters,
 )
 from .tensor_algebra import (
     ShaAlgebra,

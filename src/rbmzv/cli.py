@@ -142,7 +142,7 @@ def relation_text(rel: Relation) -> str:
 def cmd_eval(args) -> int:
     s = parse_composition(args.comp)
     if args.q is not None:
-        cfg = EvalConfig(N=args.N, q=_parse_fraction(args.q, "q"), K=args.K)
+        cfg = EvalConfig(q=_parse_fraction(args.q, "q"), K=args.K)
         res = numeric_eval.qmzv_num(s, cfg)
         payload = {
             "comp": composition_str(s),

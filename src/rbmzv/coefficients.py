@@ -1,5 +1,5 @@
 """Exact coefficient tower: rationals, polynomials and rational functions
-in a formal parameter q, and truncated power series.
+in a formal parameter q, and exp and log of truncated power series.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced).
 There is one dense polynomial type, ``DensePoly``, generic over its
@@ -12,9 +12,11 @@ lemma a product of primitive polynomials is primitive), and a sum takes one
 integer gcd.  ``poly_gcd`` is the primitive polynomial remainder sequence
 over Z (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971), made monic
 once at the end.  Rational functions are kept in canonical form (coprime,
-monic denominator) so equality is a tuple comparison.  Truncated series
-(only exp and log act on them) work over any coefficient module whose elements support ``+``, ``*`` and
-left-multiplication by a Fraction; their exp and log run by first-order
+monic denominator) so equality is a tuple comparison; they have no
+division.  A truncated power series is a plain list of its coefficients,
+of order len - 1; ``series_exp`` and ``series_log1p`` work over any
+coefficient module whose elements support ``+``, ``*`` (or a ``mul``
+callable) and left-multiplication by a Fraction, and run by first-order
 recurrences (Knuth, TAOCP Vol. 2, 4.7), which need a commutative,
 associative product.
 """
@@ -423,20 +425,6 @@ class RatFuncQ:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFuncQ(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -459,52 +447,16 @@ class RatFuncQ:
         return f"RatFuncQ({self.num!r}, {self.den!r})"
 
 
-class TruncSeries:
-    """Power series in t truncated at a fixed order: the input and output
-    of ``series_exp`` and ``series_log1p``, with no arithmetic of its own.
-
-    Coefficients live in any module with ``+``, a bilinear ``*`` (or the
-    ``mul`` callable supplied here) and scalar multiplication by Fraction
-    from the left.  ``one`` is the multiplicative unit of the module.
-    ``series_exp`` and ``series_log1p`` take O(order^2) products by the
-    first-order recurrences n e_n = n a_n + sum_{k<n} k a_k e_{n-k} and
-    n l_n = n a_n - sum_{k<n} k l_k a_{n-k}; these equal the power sums
-    only when ``mul`` is commutative and associative (it need not have
-    ``one`` as a unit).
-    """
-
-    __slots__ = ("order", "coeffs", "one", "mul")
-
-    def __init__(self, order: int, coeffs, one=Fraction(1), mul=operator.mul):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        zero = 0 * one
-        cs = list(coeffs)[: order + 1]
-        cs.extend(zero for _ in range(order + 1 - len(cs)))
-        self.order = order
-        self.coeffs = cs
-        self.one = one
-        self.mul = mul
-
-    def map(self, f) -> "TruncSeries":
-        return TruncSeries(
-            self.order, [f(a) for a in self.coeffs], self.one, self.mul
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-
-def _require_zero_constant(a: TruncSeries):
-    zero = 0 * a.one
-    if a.coeffs[0] != zero:
+def _require_zero_constant(coeffs):
+    if not coeffs:
+        raise ValueError("series needs a constant term")
+    if coeffs[0]:
         raise ValueError("series must have zero constant term")
 
 
-def series_exp(a: TruncSeries) -> TruncSeries:
-    """exp(a) = sum a^n / n!, for a with zero constant term.
+def series_exp(coeffs: list, one, mul=operator.mul) -> list:
+    """exp(a) = sum a^n / n!, for a = sum coeffs[k] t^k with zero constant
+    term, truncated at order len(coeffs) - 1; ``one`` is the unit.
 
     Differentiating e = exp(a) gives e' = a' e, so the coefficients follow
     the first-order recurrence (Knuth, TAOCP Vol. 2, 4.7)
@@ -518,21 +470,21 @@ def series_exp(a: TruncSeries) -> TruncSeries:
     the power sum for any commutative, associative, bilinear ``mul``;
     products with a zero coefficient of a are skipped.
     """
-    _require_zero_constant(a)
-    mul, order = a.mul, a.order
-    da = [k * c for k, c in enumerate(a.coeffs)]  # k a_k
-    e = [a.one]
-    for n in range(1, order + 1):
+    _require_zero_constant(coeffs)
+    da = [k * c for k, c in enumerate(coeffs)]  # k a_k
+    e = [one]
+    for n in range(1, len(coeffs)):
         s = da[n]
         for k in range(1, n):
             if da[k]:
                 s = s + mul(da[k], e[n - k])
         e.append(Fraction(1, n) * s)
-    return TruncSeries(order, e, a.one, mul)
+    return e
 
 
-def series_log1p(a: TruncSeries) -> TruncSeries:
-    """log(1 + a) = sum (-1)^(n-1) a^n / n, for a with zero constant term.
+def series_log1p(coeffs: list, mul=operator.mul) -> list:
+    """log(1 + a) = sum (-1)^(n-1) a^n / n, for a = sum coeffs[k] t^k with
+    zero constant term, truncated at order len(coeffs) - 1.
 
     Differentiating l = log(1 + a) gives l' + a l' = a', so
 
@@ -543,15 +495,14 @@ def series_log1p(a: TruncSeries) -> TruncSeries:
     commutative, associative, bilinear ``mul``; products with a zero
     coefficient of a are skipped.
     """
-    _require_zero_constant(a)
-    mul, order, cs = a.mul, a.order, a.coeffs
-    neg = [(-1) * c for c in cs]
-    dl, log = [cs[0]], [cs[0]]  # k l_k and l_k
-    for n in range(1, order + 1):
-        s = n * cs[n]
+    _require_zero_constant(coeffs)
+    neg = [(-1) * c for c in coeffs]
+    dl, log = [coeffs[0]], [coeffs[0]]  # k l_k and l_k
+    for n in range(1, len(coeffs)):
+        s = n * coeffs[n]
         for j in range(1, n):
-            if cs[j]:
+            if coeffs[j]:
                 s = s + mul(dl[n - j], neg[j])
         dl.append(s)
         log.append(Fraction(1, n) * s)
-    return TruncSeries(order, log, a.one, mul)
+    return log

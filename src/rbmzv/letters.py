@@ -1,84 +1,56 @@
-"""Concrete letter algebras: composition letters, monomial letters,
-q-letters and the binary word letters of the iterated-integral encoding.
+"""Letter systems: the commutative algebra A under Sha(A).
 
-A letter is a hashable payload; a system supplies the (commutative,
-associative) letter product and text rendering.
-The product returns a list of (coefficient, payload) pairs, empty for the
-zero product.
+Each system is one ``LetterSystem`` value: a name, a letter product and a
+rendering.  A letter is a hashable payload; the (commutative, associative)
+product of two letters is a list of (coefficient, payload) pairs, empty
+for the zero product.  The four systems are the composition letters
+(exponents s >= 1 of the power functions 1/x^s; the product adds
+exponents), the monomials a^i of a polynomial ring in one variable (the
+same product, rendered as powers of a), the q-letters (q_s * q_t =
+q_{s+t} + (1-q) q_{s+t-1}) and the two-letter alphabet x0, x1 of the
+iterated-integral encoding, whose product is zero.  The products are
+module-level functions, so the systems pickle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .coefficients import ONE_MINUS_Q
 
 
+@dataclass(frozen=True)
 class LetterSystem:
-    name: str = "abstract"
+    name: str
+    product: Callable  # (x, y) -> [(coefficient, payload), ...]
+    fmt: str  # str.format pattern of one letter
     zero_product: bool = False
 
-    def product(self, x, y):
-        raise NotImplementedError
-
     def letter_str(self, payload) -> str:
-        raise NotImplementedError
+        return self.fmt.format(payload)
 
     def __repr__(self):
         return f"<letter system {self.name}>"
 
 
-class CompositionLetters(LetterSystem):
-    """Exponents s >= 1 of the power functions 1/x^s; product adds exponents."""
-
-    name = "composition"
-
-    def product(self, x, y):
-        return [(1, x + y)]
-
-    def letter_str(self, payload):
-        return str(payload)
+def _add_exponents(x, y):
+    return [(1, x + y)]
 
 
-class MonomialLetters(CompositionLetters):
-    """Monomials a^i of a polynomial ring in one variable: the composition
-    letters' product, rendered as powers of a."""
-
-    name = "monomial"
-
-    def letter_str(self, payload):
-        return f"a^{payload}"
+def _q_product(x, y):
+    return [(1, x + y), (ONE_MINUS_Q, x + y - 1)]
 
 
-class QLetters(LetterSystem):
-    """q-analog letters with product q_s * q_t = q_{s+t} + (1-q) q_{s+t-1}."""
-
-    name = "q"
-
-    def product(self, x, y):
-        return [(1, x + y), (ONE_MINUS_Q, x + y - 1)]
-
-    def letter_str(self, payload):
-        return f"q[{payload}]"
+def _zero_product(x, y):
+    return []
 
 
 # word-letter payloads
 X0 = 0  # dt/t
 X1 = 1  # dt/(1-t)
 
-
-class WordLetters(LetterSystem):
-    """Two-letter alphabet of the iterated-integral encoding, zero product."""
-
-    name = "word"
-    zero_product = True
-
-    def product(self, x, y):
-        return []
-
-    def letter_str(self, payload):
-        return "x0" if payload == X0 else "x1"
-
-
-COMPOSITION = CompositionLetters()
-MONOMIAL = MonomialLetters()
-QLETTERS = QLetters()
-WORD = WordLetters()
+COMPOSITION = LetterSystem("composition", _add_exponents, "{}")
+MONOMIAL = LetterSystem("monomial", _add_exponents, "a^{}")
+QLETTERS = LetterSystem("q", _q_product, "q[{}]")
+WORD = LetterSystem("word", _zero_product, "x{}", zero_product=True)

@@ -159,10 +159,10 @@ def _msh_power(system, word, p):
     return rec((p,) + (0,) * (n - 1))
 
 
-def render_word(system: LetterSystem, w: Word, sep: str = "⊗") -> str:
+def render_word(system: LetterSystem, w: Word) -> str:
     if not w:
         return "1"
-    return sep.join(
+    return "⊗".join(
         "1" if x is None else system.letter_str(x) for x in w
     )
 

@@ -155,6 +155,14 @@ class TestEval:
         assert data["q"] == "1/2" and data["K"] == 100
         assert data["value"] > 0
 
+    def test_qmzv_ignores_n(self, capsys):
+        # the q-MZV branch truncates at K, so an N below the zeta branch's
+        # minimum is not an error there
+        code, out, err = run(capsys, "eval", "--comp", "2", "--q", "1/2", "--N", "5")
+        assert (code, err) == (0, "")
+        _, ref, _ = run(capsys, "eval", "--comp", "2", "--q", "1/2")
+        assert out == ref
+
     def test_qmzv_huge_k(self, capsys):
         # the walk stops where q^k turns zero, so K = 10^12 visits one leaf
         code, out, _ = run(

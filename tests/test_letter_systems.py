@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from rbmzv.letters import (
     X0,
     X1,
 )
+from rbmzv.tensor_algebra import ShaAlgebra, mixable_shuffle
 
 
 def combo_from_product(system, x, y):
@@ -71,3 +74,38 @@ class TestMonomialLetters:
     def test_product_and_degree(self):
         assert MONOMIAL.product(2, 5) == [(1, 7)]
         assert MONOMIAL.letter_str(2) == "a^2"
+
+
+ALL_SYSTEMS = [COMPOSITION, MONOMIAL, QLETTERS, WORD]
+SYSTEM_IDS = [s.name for s in ALL_SYSTEMS]
+
+
+class TestLetterSystemValues:
+    def test_letter_str(self):
+        assert COMPOSITION.letter_str(3) == "3"
+        assert QLETTERS.letter_str(3) == "q[3]"
+
+    @pytest.mark.parametrize("system, zero", [
+        (COMPOSITION, False), (MONOMIAL, False), (QLETTERS, False), (WORD, True),
+    ], ids=SYSTEM_IDS)
+    def test_zero_product_flag(self, system, zero):
+        assert system.zero_product is zero
+
+    def test_word_rejects_nonzero_weight(self):
+        with pytest.raises(ValueError, match="word"):
+            ShaAlgebra(WORD, 1)
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=SYSTEM_IDS)
+    @pytest.mark.parametrize("round_trip", [
+        lambda v: pickle.loads(pickle.dumps(v)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_the_product(self, system, round_trip):
+        out = round_trip(system)
+        assert out.name == system.name
+        assert out.zero_product == system.zero_product
+        assert out.product(2, 3) == system.product(2, 3)
+        assert out.letter_str(1) == system.letter_str(1)
+        weight = 0 if system.zero_product else 1
+        assert (mixable_shuffle(out, (1, 2), (3,), weight)
+                == mixable_shuffle(system, (1, 2), (3,), weight))

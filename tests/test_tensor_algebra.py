@@ -167,17 +167,10 @@ class TestMixableShuffle:
                 assert w[0] >= 2
 
     def test_systems_sharing_a_name_do_not_share_results(self):
-        # both keep LetterSystem's default name
-        class Additive(LetterSystem):
-            def product(self, x, y):
-                return [(1, x + y)]
-
-        class Multiplicative(LetterSystem):
-            def product(self, x, y):
-                return [(1, x * y)]
-
-        assert (5,) in mixable_shuffle(Additive(), (2,), (3,), 1)
-        assert mixable_shuffle(Multiplicative(), (2,), (3,), 1) == {
+        additive = LetterSystem("shared", lambda x, y: [(1, x + y)], "{}")
+        multiplicative = LetterSystem("shared", lambda x, y: [(1, x * y)], "{}")
+        assert (5,) in mixable_shuffle(additive, (2,), (3,), 1)
+        assert mixable_shuffle(multiplicative, (2,), (3,), 1) == {
             (2, 3): 1,
             (3, 2): 1,
             (6,): 1,
@@ -295,7 +288,6 @@ def alg_zero_p(alg):
 class TestRendering:
     def test_word(self):
         assert render_word(COMPOSITION, (2, 3)) == "2⊗3"
-        assert render_word(COMPOSITION, (2, 3), sep="(x)") == "2(x)3"
         assert render_word(COMPOSITION, ()) == "1"
 
     def test_sha_element(self, sha_weight1):
