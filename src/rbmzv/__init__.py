@@ -16,9 +16,6 @@ from .letters import (
     COMPOSITION,
     MONOMIAL,
     QLETTERS,
-    WORD,
-    X0,
-    X1,
     LetterSystem,
 )
 from .tensor_algebra import (
@@ -40,7 +37,6 @@ from .mzv_calculus import (
     CongruenceRelation,
     InadmissibleError,
     Relation,
-    comp_to_word,
     congruence_zeta_relation,
     double_shuffle_relation,
     hoffman_partition_relation,
@@ -49,7 +45,6 @@ from .mzv_calculus import (
     shuffle_zeta,
     spitzer_zeta_relation,
     stuffle,
-    word_to_comp,
 )
 from .numeric_eval import (
     EvalConfig,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -32,7 +33,8 @@ RESIDUAL_TOL = 1e-4
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; a float
+    that is not finite has no JSON form and raises ``ValueError``."""
     # one encoder per call: json.dumps with a keyword builds one per string
     encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -44,6 +46,8 @@ def canonical_json(obj) -> str:
         if obj is False:
             return "false"
         if isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise ValueError(f"cannot render the non-finite float {obj!r} as JSON")
             return f"{obj:.17g}"
         if isinstance(obj, int):
             return str(obj)
@@ -84,12 +88,13 @@ def _emit(args, payload: dict, text: str):
 def cmd_product(args) -> int:
     a = parse_composition(args.a)
     b = parse_composition(args.b)
+    # parsed in every mode, so a malformed --weight is never dropped unseen
+    lam = _parse_weight(args.weight)
     if args.mode == "stuffle":
         combo = mzv.stuffle(a, b)
     elif args.mode == "shuffle":
         combo = mzv.shuffle_zeta(a, b)
     else:
-        lam = _parse_weight(args.weight)
         combo = mixable_shuffle(COMPOSITION, a, b, lam)
     terms = []
     divergent = False
@@ -141,8 +146,10 @@ def relation_text(rel: Relation) -> str:
 
 def cmd_eval(args) -> int:
     s = parse_composition(args.comp)
+    # both branches check --x, although the q-MZV walk does not read it
+    x = _parse_fraction(args.x, "x")
     if args.q is not None:
-        cfg = EvalConfig(q=_parse_fraction(args.q, "q"), K=args.K)
+        cfg = EvalConfig(q=_parse_fraction(args.q, "q"), K=args.K, x=x)
         res = numeric_eval.qmzv_num(s, cfg)
         payload = {
             "comp": composition_str(s),
@@ -151,7 +158,7 @@ def cmd_eval(args) -> int:
             **res.to_json(),
         }
     else:
-        cfg = EvalConfig(N=args.N, x=_parse_fraction(args.x, "x"))
+        cfg = EvalConfig(N=args.N, x=x)
         res = numeric_eval.zeta_num(s, cfg)
         payload = {
             "comp": composition_str(s),

@@ -3,13 +3,14 @@
 Each system is one ``LetterSystem`` value: a name, a letter product and a
 rendering.  A letter is a hashable payload; the (commutative, associative)
 product of two letters is a list of (coefficient, payload) pairs, empty
-for the zero product.  The four systems are the composition letters
+for the zero product.  The three systems are the composition letters
 (exponents s >= 1 of the power functions 1/x^s; the product adds
 exponents), the monomials a^i of a polynomial ring in one variable (the
-same product, rendered as powers of a), the q-letters (q_s * q_t =
-q_{s+t} + (1-q) q_{s+t-1}) and the two-letter alphabet x0, x1 of the
-iterated-integral encoding, whose product is zero.  The products are
-module-level functions, so the systems pickle.
+same product, rendered as powers of a) and the q-letters (q_s * q_t =
+q_{s+t} + (1-q) q_{s+t-1}).  A system whose product is zero, such as the
+alphabet x0, x1 of the iterated-integral encoding, sets ``zero_product``
+and admits only the weight-0 shuffle.  The products are module-level
+functions, so the systems pickle.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ def _q_product(x, y):
     return [(1, x + y), (ONE_MINUS_Q, x + y - 1)]
 
 
-def _zero_product(x, y):
-    return []
-
-
-# word-letter payloads
-X0 = 0  # dt/t
-X1 = 1  # dt/(1-t)
-
 COMPOSITION = LetterSystem("composition", _add_exponents, "{}")
 MONOMIAL = LetterSystem("monomial", _add_exponents, "a^{}")
 QLETTERS = LetterSystem("q", _q_product, "q[{}]")
-WORD = LetterSystem("word", _zero_product, "x{}", zero_product=True)

@@ -1,6 +1,12 @@
-"""Compositions, the stuffle and shuffle products on zeta symbols, the
-binary-word encoding of the integral representation, and the relation
-generators (double shuffle, Hoffman partition, Spitzer, congruence).
+"""Compositions, the stuffle and shuffle products on zeta symbols, and the
+relation generators (double shuffle, Hoffman partition, Spitzer,
+congruence).
+
+The stuffle is the weight-1 mixable shuffle of composition letters.  The
+shuffle comes from the iterated-integral representation, where zeta(s) is
+the word x0^(s1-1) x1 ... x0^(sn-1) x1 in the letters x0 = dt/t and
+x1 = dt/(1-t); it is the shuffle of those words (Hoffman, J. Algebra 194,
+1997), computed on the compositions themselves, one part at a time.
 
 A composition is a tuple of positive integers; it is admissible when its
 first part is >= 2.  A ZetaCombo is a dict composition -> coefficient.
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .identity_engine import _mod_p_failure, _signed_set_partitions, freshman_power
-from .letters import COMPOSITION, QLETTERS, WORD, X0, X1
+from .letters import COMPOSITION, QLETTERS
 from .tensor_algebra import _add_term, mixable_shuffle
 
 Composition = tuple
@@ -86,36 +92,58 @@ def q_stuffle(a: Composition, b: Composition) -> ZetaCombo:
     return mixable_shuffle(QLETTERS, a, b, 1)
 
 
-def comp_to_word(c: Composition) -> tuple:
-    """s_j -> x0^(s_j - 1) x1, concatenated over the parts."""
-    require_admissible(c)
-    out = []
-    for s in c:
-        out.extend([X0] * (s - 1))
-        out.append(X1)
-    return tuple(out)
-
-
-def word_to_comp(w: tuple) -> Composition:
-    if not w or w[0] != X0 or w[-1] != X1:
-        raise ValueError(f"word {w!r} is not admissible (x0...x1)")
-    parts = []
-    run = 0
-    for x in w:
-        if x == X0:
-            run += 1
-        else:
-            parts.append(run + 1)
-            run = 0
-    return tuple(parts)
-
-
 def shuffle_zeta(a: Composition, b: Composition) -> ZetaCombo:
-    """Shuffle product of the word encodings, decoded to compositions."""
-    wa, wb = comp_to_word(a), comp_to_word(b)
-    out: ZetaCombo = {}
-    for w, c in mixable_shuffle(WORD, wa, wb, 0).items():
-        _add_term(out, word_to_comp(w), c)
+    """Shuffle product of zeta(a) and zeta(b), from their iterated integrals.
+
+    It is the shuffle of the words x0^(s1-1) x1 ... x0^(sn-1) x1, run on
+    compositions part by part (``_shuffle_parts``).
+    """
+    require_admissible(a)
+    require_admissible(b)
+    return _shuffle_parts(tuple(a), tuple(b), {})
+
+
+def _shuffle_parts(a, b, memo):
+    """The word shuffle of compositions, grouped by whose x1 comes first.
+
+    With a = x0^p x1 U and b = x0^q x1 V (p = a1 - 1, q = b1 - 1), the first
+    x1 is a's with k <= q of b's leading x0s before it, in C(p+k, k)
+    interleavings, or symmetrically b's:
+
+        sha(a, b) = sum_{k<b1} C(p+k, k) (a1+k) . sha(U, (b1-k,) + V)
+                  + sum_{k<a1} C(q+k, k) (b1+k) . sha((a1-k,) + U, V),
+
+    where (h) . S puts the part h in front of every composition of S, and
+    sha(a, ()) = a, sha((), b) = b.  ``memo`` maps a pair of what is left of
+    a and b (suffixes whose first part may be cut down) to its result; it
+    lives for one top-level product.
+    """
+    if not a:
+        return {b: 1}
+    if not b:
+        return {a: 1}
+    key = (a, b)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out: dict = {}
+    get = out.get
+    a0, arest = a[0], a[1:]
+    b0, brest = b[0], b[1:]
+    # the heads a0 + k are distinct, so this first sum only inserts
+    for k in range(b0):
+        coef = math.comb(a0 - 1 + k, k)
+        head = (a0 + k,)
+        for w, c in _shuffle_parts(arest, (b0 - k,) + brest, memo).items():
+            out[head + w] = coef * c
+    for k in range(a0):
+        coef = math.comb(b0 - 1 + k, k)
+        head = (b0 + k,)
+        for w, c in _shuffle_parts((a0 - k,) + arest, brest, memo).items():
+            nw = head + w
+            v = get(nw)
+            out[nw] = coef * c if v is None else v + coef * c
+    memo[key] = out
     return out
 
 
@@ -173,9 +201,9 @@ def double_shuffle_relation(a: Composition, b: Composition) -> Relation:
     require_admissible(b)
     terms: dict = {}
     for c, coef in stuffle(a, b).items():
-        _add_term(terms, _mono(c), Fraction(coef))
+        _add_term(terms, _mono(c), coef)
     for c, coef in shuffle_zeta(a, b).items():
-        _add_term(terms, _mono(c), -Fraction(coef))
+        _add_term(terms, _mono(c), -coef)
     return Relation.from_dict(
         terms, f"double_shuffle({composition_str(a)}|{composition_str(b)})"
     )

@@ -3,7 +3,46 @@ import random
 import pytest
 
 from rbmzv import ShaAlgebra
-from rbmzv.letters import COMPOSITION
+from rbmzv.letters import COMPOSITION, LetterSystem
+from rbmzv.mzv_calculus import require_admissible
+
+
+# --- the word encoding of zeta values: the reference for shuffle_zeta ---
+
+X0 = 0  # dt/t
+X1 = 1  # dt/(1-t)
+
+
+def _zero_product(x, y):
+    return []
+
+
+#: the two-letter alphabet of the iterated integrals; its product is zero
+WORD = LetterSystem("word", _zero_product, "x{}", zero_product=True)
+
+
+def comp_to_word(c):
+    """s_j -> x0^(s_j - 1) x1, concatenated over the parts."""
+    require_admissible(c)
+    out = []
+    for s in c:
+        out.extend([X0] * (s - 1))
+        out.append(X1)
+    return tuple(out)
+
+
+def word_to_comp(w):
+    if not w or w[0] != X0 or w[-1] != X1:
+        raise ValueError(f"word {w!r} is not admissible (x0...x1)")
+    parts = []
+    run = 0
+    for x in w:
+        if x == X0:
+            run += 1
+        else:
+            parts.append(run + 1)
+            run = 0
+    return tuple(parts)
 
 
 def random_sha_element(alg, rng, max_terms=3, max_payload=4, max_tail=2):

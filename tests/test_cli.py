@@ -5,7 +5,7 @@ import pytest
 
 from rbmzv import cli
 from rbmzv.cli import build_corpus, canonical_json, main
-from rbmzv.numeric_eval import EvalConfig
+from rbmzv.numeric_eval import EvalConfig, EvalResult
 
 
 def run(capsys, *argv):
@@ -27,6 +27,15 @@ class TestCanonicalJson:
     def test_valid_json(self):
         payload = {"x": [1.5, None, {"k": False}]}
         assert json.loads(canonical_json(payload)) == payload
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json({"value": [1, value]})
+
+    def test_float_zero_renders_as_an_integer(self):
+        # kept as it is: a float form would change the corpus bytes
+        assert canonical_json([0.0, -0.0]) == "[0, -0]"
 
 
 class TestProduct:
@@ -88,6 +97,24 @@ class TestProduct:
         assert code == 2
         assert out == ""
         assert f"error: malformed weight {weight!r}" in err
+
+    @pytest.mark.parametrize("mode", ["stuffle", "shuffle"])
+    @pytest.mark.parametrize("weight", ["abc", "1/0"])
+    def test_malformed_weight_in_every_mode(self, capsys, mode, weight):
+        code, out, err = run(
+            capsys, "product", "--mode", mode, "--weight", weight, "2", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed weight {weight!r}\n"
+
+    @pytest.mark.parametrize("mode", ["stuffle", "shuffle"])
+    def test_valid_weight_leaves_the_product(self, capsys, mode):
+        code, out, err = run(
+            capsys, "product", "--mode", mode, "--weight", "0", "2", "3"
+        )
+        assert (code, err) == (0, "")
+        _, ref, _ = run(capsys, "product", "--mode", mode, "2", "3")
+        assert out == ref
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "product", "2,1", "3")
@@ -187,6 +214,29 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert f"error: malformed {flag[2:]} {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_qmzv_malformed_x(self, capsys, value):
+        code, out, err = run(
+            capsys, "eval", "--comp", "2", "--q", "1/2", "--x", value
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed x {value!r}\n"
+
+    def test_qmzv_valid_x_leaves_the_value(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--comp", "2", "--q", "1/2", "--x", "1/3"
+        )
+        assert (code, err) == (0, "")
+        _, ref, _ = run(capsys, "eval", "--comp", "2", "--q", "1/2")
+        assert out == ref
+
+    def test_non_finite_value_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.numeric_eval, "zeta_num",
+                            lambda s, cfg: EvalResult(float("inf"), 0.0))
+        code, out, err = run(capsys, "eval", "--comp", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--x", "1e400", "Hurwitz offset x must round to a finite float"),

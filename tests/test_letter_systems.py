@@ -6,15 +6,10 @@ from fractions import Fraction
 import pytest
 
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
-from rbmzv.letters import (
-    COMPOSITION,
-    MONOMIAL,
-    QLETTERS,
-    WORD,
-    X0,
-    X1,
-)
+from rbmzv.letters import COMPOSITION, MONOMIAL, QLETTERS
 from rbmzv.tensor_algebra import ShaAlgebra, mixable_shuffle
+
+from conftest import WORD, X0, X1
 
 
 def combo_from_product(system, x, y):

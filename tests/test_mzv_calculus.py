@@ -1,16 +1,19 @@
+import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmzv.cli import _admissible_compositions
 from rbmzv.coefficients import ONE_MINUS_Q
-from rbmzv.letters import X0, X1
+from rbmzv.tensor_algebra import _add_term, mixable_shuffle
 from rbmzv.mzv_calculus import (
     CongruenceRelation,
     InadmissibleError,
     Relation,
-    comp_to_word,
     composition_str,
     congruence_zeta_relation,
     double_shuffle_relation,
@@ -23,8 +26,9 @@ from rbmzv.mzv_calculus import (
     spitzer_zeta_relation,
     stuffle,
     weight,
-    word_to_comp,
 )
+
+from conftest import WORD, X0, X1, comp_to_word, word_to_comp
 
 
 class TestCompositions:
@@ -118,6 +122,17 @@ class TestWordEncoding:
             word_to_comp((X1, X0))
 
 
+SMALL_ADMISSIBLE = _admissible_compositions(8, 4)
+
+
+def word_shuffle_zeta(a, b):
+    """The shuffle of the words of a and b, decoded to compositions."""
+    out = {}
+    for w, c in mixable_shuffle(WORD, comp_to_word(a), comp_to_word(b), 0).items():
+        _add_term(out, word_to_comp(w), c)
+    return out
+
+
 class TestShuffleZeta:
     def test_two_times_two(self):
         assert shuffle_zeta((2,), (2,)) == {(3, 1): 4, (2, 2): 2}
@@ -142,6 +157,36 @@ class TestShuffleZeta:
     def test_divergent_refused(self):
         with pytest.raises(InadmissibleError):
             shuffle_zeta((1, 2), (2,))
+
+    @given(st.sampled_from(SMALL_ADMISSIBLE), st.sampled_from(SMALL_ADMISSIBLE))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_word_shuffle(self, a, b):
+        got = shuffle_zeta(a, b)
+        assert got == word_shuffle_zeta(a, b)
+        assert got == shuffle_zeta(b, a)
+        wa, wb = weight(a), weight(b)
+        assert sum(got.values()) == math.comb(wa + wb, wa)
+        assert all(type(c) is int for c in got.values())
+
+    def test_outputs_pinned(self):
+        # every admissible pair of total weight <= 12 and every argument of
+        # the four shuffle strata of perfbench's symbolic workload; the hash
+        # was taken from the word-encoded shuffle this recursion replaced
+        comps = _admissible_compositions(10, 9)
+        pairs = [(a, b) for a in comps for b in comps
+                 if weight(a) + weight(b) <= 12]
+        for pa, pb in (((4, 3, 2), (5, 2, 2)), ((4, 3, 2), (5, 3, 2)),
+                       ((4, 4, 2), (5, 4, 2)), ((5, 4, 3), (6, 4, 2))):
+            pairs += itertools.product(sorted(set(itertools.permutations(pa))),
+                                       sorted(set(itertools.permutations(pb))))
+        h = hashlib.sha256()
+        for a, b in pairs:
+            h.update(repr((a, b, sorted(shuffle_zeta(a, b).items()))).encode())
+            h.update(b"\n")
+        assert len(pairs) == 4205
+        assert h.hexdigest() == (
+            "288b7269c7d57353ee3b9050e05060aaad6d2e209668f57f01946c75cbb7562c"
+        )
 
 
 class TestRelation:
@@ -184,6 +229,10 @@ class TestDoubleShuffle:
         assert d[((5,),)] == 1
         assert d[((4, 1),)] == -6
         assert d[((3, 2),)] == -2
+
+    def test_coefficients_are_fractions(self):
+        r = double_shuffle_relation((3, 1), (2, 2))
+        assert r.terms and all(type(c) is Fraction for _, c in r.terms)
 
     def test_stuffle_terms_cancel(self):
         # compositions appearing in both expansions partially cancel

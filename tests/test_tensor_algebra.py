@@ -6,10 +6,10 @@ import pytest
 
 from rbmzv import ShaAlgebra
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
-from rbmzv.letters import COMPOSITION, QLETTERS, WORD, X0, X1, LetterSystem
+from rbmzv.letters import COMPOSITION, QLETTERS, LetterSystem
 from rbmzv.tensor_algebra import mixable_shuffle, render_word
 
-from conftest import random_sha_element
+from conftest import WORD, X0, X1, random_sha_element
 
 
 # --- test-local oracle: direct enumeration, independent of the recursion ---
