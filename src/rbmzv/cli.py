@@ -1,7 +1,9 @@
 """Command-line interface: symbolic products, relation generation,
 numeric evaluation, identity verification and the golden relation corpus.
 
-Exit codes: 0 success / verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success / verified, 1 verification failure, 2 usage error
+or an input too large to compute (the run exhausted memory or the
+recursion limit).
 All output is deterministic; floats are rendered with 17 significant
 digits.
 """
@@ -408,6 +410,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as e:
+        print(f"error: input too large to compute ({type(e).__name__})",
+              file=sys.stderr)
         return 2
 
 

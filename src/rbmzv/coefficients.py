@@ -12,13 +12,14 @@ lemma a product of primitive polynomials is primitive), and a sum takes one
 integer gcd.  ``poly_gcd`` is the primitive polynomial remainder sequence
 over Z (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971), made monic
 once at the end.  Rational functions are kept in canonical form (coprime,
-monic denominator) so equality is a tuple comparison; they have no
-division.  A truncated power series is a plain list of its coefficients,
-of order len - 1; ``series_exp`` and ``series_log1p`` work over any
-coefficient module whose elements support ``+``, ``*`` (or a ``mul``
-callable) and left-multiplication by a Fraction, and run by first-order
-recurrences (Knuth, TAOCP Vol. 2, 4.7), which need a commutative,
-associative product.
+monic denominator) so equality is a tuple comparison; they add, negate
+and multiply, but neither subtract nor divide.  A truncated power series
+is a plain list of its coefficients, of order len - 1; ``series_exp`` and
+``series_log1p`` work over any coefficient module whose elements support
+``+``, ``*`` and left-multiplication by a Fraction (``series_exp`` also
+takes another product, such as the star product, as a ``mul`` callable),
+and run by first-order recurrences (Knuth, TAOCP Vol. 2, 4.7), which need
+a commutative, associative product.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ class DensePoly:
         # the default copy and pickle paths restore slots by setattr
         return type(self), (self.coeffs,)
 
-    @property
-    def degree(self) -> int:
-        # -1 is the zero-polynomial sentinel
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -107,12 +103,6 @@ class DensePoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -123,11 +113,6 @@ class DensePoly:
         return type(self)(_convolve(a, b))
 
     __rmul__ = __mul__
-
-    def __getitem__(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self._zero
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -405,18 +390,6 @@ class RatFuncQ:
         object.__setattr__(out, "den", self.den)
         return out
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -482,7 +455,7 @@ def series_exp(coeffs: list, one, mul=operator.mul) -> list:
     return e
 
 
-def series_log1p(coeffs: list, mul=operator.mul) -> list:
+def series_log1p(coeffs: list) -> list:
     """log(1 + a) = sum (-1)^(n-1) a^n / n, for a = sum coeffs[k] t^k with
     zero constant term, truncated at order len(coeffs) - 1.
 
@@ -492,7 +465,7 @@ def series_log1p(coeffs: list, mul=operator.mul) -> list:
 
     O(order^2) products against the result's own coefficients, none of
     them by the unit.  The recurrence equals the power sum for any
-    commutative, associative, bilinear ``mul``; products with a zero
+    commutative, associative, bilinear ``*``; products with a zero
     coefficient of a are skipped.
     """
     _require_zero_constant(coeffs)
@@ -502,7 +475,7 @@ def series_log1p(coeffs: list, mul=operator.mul) -> list:
         s = n * coeffs[n]
         for j in range(1, n):
             if coeffs[j]:
-                s = s + mul(dl[n - j], neg[j])
+                s = s + dl[n - j] * neg[j]
         dl.append(s)
         log.append(Fraction(1, n) * s)
     return log

@@ -1,19 +1,23 @@
 """Symbolic verification inside Sha(A): Spitzer's identity, the
 exp-star/log identity, the Bohnenblust-Spitzer formula and the mod-p
 power congruence, all in exact arithmetic.
+
+The congruence rests on ``freshman_power``, the p-th Sha power of a pure
+tensor 1 (x) w over composition letters, computed in one pass over the
+multiset of the p copies' positions.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import series_exp, series_log1p
 from .letters import COMPOSITION, MONOMIAL
-from .tensor_algebra import ShaAlgebra, ShaElement, _msh_power
+from .tensor_algebra import ShaAlgebra, ShaElement
 
 _PRIMES = (2, 3, 5, 7, 11)
 
@@ -42,9 +46,6 @@ class IdentityReport:
         if self.first_diff is not None:
             out["first_diff"] = self.first_diff
         return out
-
-    def __str__(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def set_partitions(n: int) -> list[list[list[int]]]:
@@ -174,15 +175,49 @@ def freshman_power(w: tuple, p: int) -> dict:
 
     Returns the tail combination {word: integer coefficient}.  The unit
     head multiplies trivially, so this is the p-th stuffle power of w (the
-    weight-1 quasi-shuffle of p copies), computed in one pass by
-    ``_msh_power``.
+    weight-1 quasi-shuffle of p copies), computed by one p-ary recursion.
+
+    The copies are interchangeable, so a state is the multiset of their
+    positions, kept as counts c[i] of copies at position i < n (the others
+    are done).  A step advances j[i] <= c[i] copies from each position i,
+    at least one in all, with multiplicity prod C(c[i], j[i]); their
+    letters merge into the one letter sum j[i] w[i].  The child state is
+    built from the parent's counts, so a copy moved into position i + 1 is
+    not moved again in the same step.  Every coefficient is positive, so
+    no term cancels.  The memo is local to the call.
     """
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be a prime in {2, 3, 5, 7}")
     w = tuple(w)
     if not w:
         raise ValueError("word must be nonempty")
-    return _msh_power(COMPOSITION, w, p)
+    n = len(w)
+    memo: dict = {}
+
+    def rec(counts):
+        if not any(counts):
+            return {(): 1}
+        hit = memo.get(counts)
+        if hit is not None:
+            return hit
+        out: dict = {}
+        get = out.get
+        for js in itertools.product(*[range(c + 1) for c in counts]):
+            if not any(js):
+                continue
+            mult = math.prod(map(math.comb, counts, js))
+            child = tuple(
+                counts[i] - js[i] + (js[i - 1] if i else 0) for i in range(n)
+            )
+            head = (sum(map(operator.mul, js, w)),)
+            for t, c in rec(child).items():
+                nw = head + t
+                v = get(nw)
+                out[nw] = mult * c if v is None else v + mult * c
+        memo[counts] = out
+        return out
+
+    return rec((p,) + (0,) * (n - 1))
 
 
 def _mod_p_failure(power: dict, target: tuple, p: int) -> str | None:

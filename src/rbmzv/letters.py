@@ -7,10 +7,9 @@ for the zero product.  The three systems are the composition letters
 (exponents s >= 1 of the power functions 1/x^s; the product adds
 exponents), the monomials a^i of a polynomial ring in one variable (the
 same product, rendered as powers of a) and the q-letters (q_s * q_t =
-q_{s+t} + (1-q) q_{s+t-1}).  A system whose product is zero, such as the
-alphabet x0, x1 of the iterated-integral encoding, sets ``zero_product``
-and admits only the weight-0 shuffle.  The products are module-level
-functions, so the systems pickle.
+q_{s+t} + (1-q) q_{s+t-1}).  A system whose product is zero (empty lists)
+merges no letters, so its mixable shuffle is the plain shuffle at any
+weight.  The products are module-level functions, so the systems pickle.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ class LetterSystem:
     name: str
     product: Callable  # (x, y) -> [(coefficient, payload), ...]
     fmt: str  # str.format pattern of one letter
-    zero_product: bool = False
 
     def letter_str(self, payload) -> str:
         return self.fmt.format(payload)

@@ -13,17 +13,12 @@ Hoffman's quasi-shuffle is the weight-1 mixable shuffle,
 product share one recursion, ``_msh``.  Its memo is created by each
 top-level product and lives only for that product, so it is keyed on the
 suffix pair alone and can never return a result computed for another
-letter system or weight.  The p-th Sha power of one pure tensor has its own
-recursion, ``_msh_power``: its p copies of one word are interchangeable, so
-its memo (again per call) is keyed on the multiset of their positions.
-``_msh`` stays the kernel for two words, because a generic p-ary kernel
-ran that p = 2 case 1.5 to 2.5 times slower.
+letter system or weight.  The p-th power of one pure tensor over
+composition letters, behind the Freshman's-Dream congruence, is
+``identity_engine.freshman_power``.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 from .letters import LetterSystem
 
@@ -52,17 +47,8 @@ def _unit_product(system: LetterSystem, x, y):
     return system.product(x, y)
 
 
-def _check_weight(system: LetterSystem, weight):
-    if system.zero_product and weight != 0:
-        raise ValueError(
-            f"letter system '{system.name}' has the zero product; "
-            "only weight 0 is allowed"
-        )
-
-
 def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb:
     """Mixable shuffle of weight ``weight`` via the four-case recursion."""
-    _check_weight(system, weight)
     return dict(_msh(system, tuple(a), tuple(b), weight, {}))
 
 
@@ -104,61 +90,6 @@ def _msh(system, a, b, lam, memo):
     return out
 
 
-def _msh_power(system, word, p):
-    """Weight-1 quasi-shuffle of p copies of ``word``: the p-ary recursion.
-
-    The copies are interchangeable, so a state is the multiset of their
-    positions, kept as counts c[i] of copies at position i < n (the others
-    are done).  A step advances j[i] <= c[i] copies from each position i,
-    at least one in all, with multiplicity prod C(c[i], j[i]); their
-    letters merge by the letter product.  The child state is built from
-    the parent's counts, so a copy moved into position i + 1 is not moved
-    again in the same step.  The memo is local to the call.
-    """
-    n = len(word)
-    memo: dict = {}
-
-    def merged(js):
-        acc = {None: 1}
-        for i, j in enumerate(js):
-            for _ in range(j):
-                nxt: dict = {}
-                for x, c in acc.items():
-                    for pc, y in _unit_product(system, x, word[i]):
-                        _add_term(nxt, y, c * pc)
-                acc = nxt
-        return acc.items()
-
-    def rec(counts):
-        if not any(counts):
-            return {(): 1}
-        hit = memo.get(counts)
-        if hit is not None:
-            return hit
-        out: dict = {}
-        get = out.get
-        for js in itertools.product(*[range(c + 1) for c in counts]):
-            if not any(js):
-                continue
-            mult = math.prod(map(math.comb, counts, js))
-            child = tuple(
-                counts[i] - js[i] + (js[i - 1] if i else 0) for i in range(n)
-            )
-            tail = rec(child)
-            for x, pc in merged(js):
-                coef = mult * pc
-                for w, c in tail.items():
-                    nw = (x,) + w
-                    v = get(nw)
-                    out[nw] = coef * c if v is None else v + coef * c
-        for nw in [w for w, v in out.items() if not v]:
-            del out[nw]
-        memo[counts] = out
-        return out
-
-    return rec((p,) + (0,) * (n - 1))
-
-
 def render_word(system: LetterSystem, w: Word) -> str:
     if not w:
         return "1"
@@ -176,7 +107,6 @@ class ShaAlgebra:
     """
 
     def __init__(self, system: LetterSystem, weight=1):
-        _check_weight(system, weight)
         self.system = system
         self.weight = weight
 
@@ -254,9 +184,6 @@ class ShaElement:
         for k, c in other.terms.items():
             _add_term(out, k, -c)
         return ShaElement(self.alg, out)
-
-    def __neg__(self):
-        return ShaElement(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, ShaElement):

@@ -18,7 +18,7 @@ def _zero_product(x, y):
 
 
 #: the two-letter alphabet of the iterated integrals; its product is zero
-WORD = LetterSystem("word", _zero_product, "x{}", zero_product=True)
+WORD = LetterSystem("word", _zero_product, "x{}")
 
 
 def comp_to_word(c):

@@ -89,6 +89,21 @@ class TestProduct:
         assert code == 2
         assert "error" in err
 
+    def test_too_deep_recursion_is_usage_error(self, capsys):
+        # a 1,100-part composition recurses past the interpreter's limit
+        code, out, err = run(capsys, "product", ",".join(["1"] * 1100), "2")
+        assert (code, out) == (2, "")
+        assert err == "error: input too large to compute (RecursionError)\n"
+
+    def test_memory_exhaustion_is_usage_error(self, capsys, monkeypatch):
+        def exhausted(a, b):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.mzv, "shuffle_zeta", exhausted)
+        code, out, err = run(capsys, "product", "--mode", "shuffle", "2", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: input too large to compute (MemoryError)\n"
+
     @pytest.mark.parametrize("weight", ["abc", "1/0"])
     def test_malformed_weight(self, capsys, weight):
         code, out, err = run(

@@ -7,7 +7,7 @@ import pytest
 
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
 from rbmzv.letters import COMPOSITION, MONOMIAL, QLETTERS
-from rbmzv.tensor_algebra import ShaAlgebra, mixable_shuffle
+from rbmzv.tensor_algebra import mixable_shuffle
 
 from conftest import WORD, X0, X1
 
@@ -80,16 +80,6 @@ class TestLetterSystemValues:
         assert COMPOSITION.letter_str(3) == "3"
         assert QLETTERS.letter_str(3) == "q[3]"
 
-    @pytest.mark.parametrize("system, zero", [
-        (COMPOSITION, False), (MONOMIAL, False), (QLETTERS, False), (WORD, True),
-    ], ids=SYSTEM_IDS)
-    def test_zero_product_flag(self, system, zero):
-        assert system.zero_product is zero
-
-    def test_word_rejects_nonzero_weight(self):
-        with pytest.raises(ValueError, match="word"):
-            ShaAlgebra(WORD, 1)
-
     @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=SYSTEM_IDS)
     @pytest.mark.parametrize("round_trip", [
         lambda v: pickle.loads(pickle.dumps(v)),
@@ -98,9 +88,7 @@ class TestLetterSystemValues:
     def test_round_trip_keeps_the_product(self, system, round_trip):
         out = round_trip(system)
         assert out.name == system.name
-        assert out.zero_product == system.zero_product
         assert out.product(2, 3) == system.product(2, 3)
         assert out.letter_str(1) == system.letter_str(1)
-        weight = 0 if system.zero_product else 1
-        assert (mixable_shuffle(out, (1, 2), (3,), weight)
-                == mixable_shuffle(system, (1, 2), (3,), weight))
+        assert (mixable_shuffle(out, (1, 2), (3,), 1)
+                == mixable_shuffle(system, (1, 2), (3,), 1))

@@ -1,7 +1,9 @@
 """Every definition in ``src/rbmzv`` has a caller outside the tests.
 
-The library's modules and the benchmark harness under ``perfbench/`` are
-parsed with ``ast``.  A definition is a top-level
+Two checks share one keep map, ``KEPT``.
+
+The static check parses the library's modules and the benchmark harness
+under ``perfbench/`` with ``ast``.  A definition is a top-level
 function, class or constant, or a method with an ordinary (non-dunder)
 name.  The code outside any definition, in the library and in the
 benchmark, is live; a definition is live once live code other than its
@@ -18,27 +20,61 @@ nothing.  An import is not a use, so re-exporting a name from
 functions in strings (``spans.TARGETS``, ``getattr(mzv, family)``), so
 there a string equal to a qualified name (``f`` or ``Class.method``)
 refers to that definition.
-A dead method that shares its name with a live one is not caught, nor is
-a method that only a live dunder method calls.
+
+Matching names cannot see a dunder nothing calls, a method shadowed by a
+live one of the same name, or a method that only a live dunder calls.
+The runtime check covers those: it runs every CLI example in the README
+(in both output formats), the verify modes the README does not show, and
+the first op of each family in the benchmark's first seed-1 cycle, under
+``sys.setprofile``, and reports every ``def`` in the library (methods,
+dunders and nested functions alike) that none of them enters.  A nested
+function of a kept definition is kept with it.
 """
 
 import ast
+import contextlib
+import io
+import re
+import shlex
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rbmzv"
 
-#: Definitions kept without a caller in the library: the acceptance gate
-#: and ``conftest.random_sha_element`` use the first four, ROADMAP item 2's
-#: corpus audit reads corpus files with ``Relation.from_json``, and
-#: ``__version__`` is package metadata.
+_VALUE = "value semantics: equal values compare and hash equal; tests compare results"
+_FROZEN = "immutability: an assignment raises"
+_PICKLE = "pickle and copy"
+_REPR = "repr, for debugging"
+
+#: Definitions kept although no library code calls them (static check) or
+#: no command or benchmark op enters them (runtime check), each with why.
 KEPT = {
-    "nested_sum_oracle",
-    "Relation.as_dict",
-    "ShaAlgebra.element",
-    "PolyQ.evaluate",
-    "Relation.from_json",
-    "__version__",
+    "nested_sum_oracle": "the acceptance gate's exact oracle",
+    "Relation.as_dict": "the acceptance gate reads a relation with it",
+    "ShaAlgebra.element": "conftest.random_sha_element builds elements with it",
+    "PolyQ.evaluate": "the acceptance gate evaluates q-stuffle coefficients",
+    "Relation.from_json": "reads corpus files back, for the planned corpus audit",
+    "__version__": "package metadata",
+    "DensePoly.__bool__": "without it every XPoly would be truthy",
+    "DensePoly.__eq__": _VALUE,
+    "DensePoly.__hash__": _VALUE,
+    "PolyQ.__eq__": _VALUE,
+    "RatFuncQ.__eq__": _VALUE,
+    "RatFuncQ.__hash__": _VALUE,
+    "PolyQ.degree": "RatFuncQ.__hash__ and __str__ read it",
+    "DensePoly.__setattr__": _FROZEN,
+    "RatFuncQ.__setattr__": _FROZEN,
+    "DensePoly.__reduce__": _PICKLE,
+    "RatFuncQ.__reduce__": _PICKLE,
+    "DensePoly.__repr__": _REPR,
+    "RatFuncQ.__repr__": _REPR,
+    "LetterSystem.__repr__": _REPR,
+    "ShaElement.__repr__": _REPR,
+    "XPoly.__str__": "renders a nonzero gallery defect in a failure message",
+    "RatFuncQ.__str__": "renders an XPoly's coefficients",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -159,16 +195,140 @@ def _unused(kept):
 
 
 def test_every_definition_has_a_caller():
-    unused = _unused(KEPT)
+    unused = _unused(set(KEPT))
     assert unused == [], (
         "called only from tests/ (move a test-only reference into its test "
         f"file, or delete it): {', '.join(unused)}")
 
 
-def test_kept_names_are_defined_and_still_uncalled():
-    # an entry that gains a caller, or whose definition is gone, leaves
-    # the allow-list
-    defined = {qual for _, qual, _, _ in _library()[0]}
-    assert KEPT <= defined
+# --- the runtime check ----------------------------------------------------------
+
+#: the verify modes the README shows no example of
+OTHER_VERIFY_MODES = ("expstar", "congruence", "zrb", "integration")
+#: caps on the benchmark ops' numeric truncations N and K and on their corpus
+#: build weight: a capped op runs the same code in a fraction of the time
+MAX_TRUNCATION = 200_000
+MAX_CORPUS_WEIGHT = 10
+
+
+def _readme_commands():
+    """The argument lists of the ``rbmzv`` lines in the README's sh blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["rbmzv"]:
+                commands.append(words[1:])
+    return commands
+
+
+def _run_cli(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, ""), f"rbmzv {shlex.join(argv)}"
+
+
+def _run_benchmark_ops(worker):
+    """Run the first op of each family in each workload's first seed-1
+    cycle through the benchmark's own preparation and check."""
+    workloads = worker.workloads
+    for workload in workloads.WORKLOADS:
+        mods = worker.import_library(workload)
+        families = set()
+        for op in next(workloads.cycles(workload, 1)):
+            if op.family in families:
+                continue
+            families.add(op.family)
+            args = op.args
+            for key in ("N", "K"):
+                if key in args:
+                    args[key] = min(args[key], MAX_TRUNCATION)
+            if workload == "corpus":
+                args["max_weight"] = min(args["max_weight"], MAX_CORPUS_WEIGHT)
+                state = {"lookups": 0, "entries": 0, "text": ""}
+                call, check = worker.prepare_corpus(op, mods, state)
+            elif workload == "numeric":
+                call, check = worker.prepare_numeric(op, mods)
+            else:
+                call, check = worker.prepare_symbolic(op, mods)
+            assert check(call()) is None, f"{workload} op {op.family} {args}"
+
+
+@pytest.fixture(scope="module")
+def entered(tmp_path_factory):
+    """(file, first line) of every function the commands and ops enter."""
+    tmp = tmp_path_factory.mktemp("reach")
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # the README's corpus example writes into the cwd
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        import worker
+        from rbmzv import cli
+
+        mp.setattr(worker, "CORPUS_OUT", tmp / "corpus.jsonl")
+        commands = _readme_commands() + [["verify", m] for m in OTHER_VERIFY_MODES]
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for argv in commands:
+                for fmt in ("json", "text"):
+                    _run_cli(cli, ["--format", fmt, *argv])
+            _run_benchmark_ops(worker)
+        finally:
+            sys.setprofile(previous)
+    return {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
+
+
+def _definitions():
+    """(module, qualified name, (file, first line)) of every ``def`` in the
+    library.  A decorated function's code starts at its first decorator;
+    keying on the line, not ``co_qualname``, runs on Python 3.10."""
+    out = []
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out.append((path.stem, qual, (path.resolve(), first)))
+                visit(child, path, qual + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return out
+
+
+def _kept(qual):
+    """Whether ``qual`` or a definition it is nested in is in KEPT."""
+    parts = qual.split(".")
+    return any(".".join(parts[:i]) in KEPT for i in range(1, len(parts) + 1))
+
+
+def test_every_definition_runs(entered):
+    missed = [f"{module}.{qual}" for module, qual, key in _definitions()
+              if key not in entered and not _kept(qual)]
+    assert missed == [], (
+        "no command or benchmark op enters (delete it, or keep it in KEPT "
+        f"with a reason): {', '.join(missed)}")
+
+
+def test_kept_names_are_defined_and_still_uncalled(entered):
+    # an entry whose definition is gone, or that both checks would pass
+    # without, leaves the keep map
+    defs = {qual: key for _, qual, key in _definitions()}
+    statics = {qual for _, qual, _, _ in _library()[0]}
+    assert set(KEPT) <= set(defs) | statics
     uncalled = {name.split(".", 1)[1] for name in _unused(set())}
-    assert KEPT <= uncalled
+    not_entered = {qual for qual, key in defs.items() if key not in entered}
+    assert set(KEPT) <= uncalled | not_entered
+    assert all(KEPT.values())

@@ -104,9 +104,12 @@ class TestMixableShuffle:
             got = mixable_shuffle(WORD, a, b, 0)
             assert sum(got.values()) == math.comb(m + n, m)
 
-    def test_zero_product_system_rejects_weight(self):
-        with pytest.raises(ValueError):
-            mixable_shuffle(WORD, (X0,), (X1,), 1)
+    def test_zero_product_system_ignores_weight(self):
+        # no two letters merge, so every weight gives the plain shuffle
+        a, b = (X0, X1), (X0, X0, X1)
+        shuffle = mixable_shuffle(WORD, a, b, 0)
+        for weight in (1, -1, ONE_MINUS_Q):
+            assert mixable_shuffle(WORD, a, b, weight) == shuffle
 
     def test_direct_matches_recursive_exhaustive(self):
         words = [
