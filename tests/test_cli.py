@@ -180,6 +180,20 @@ class TestRelation:
         assert code == 2
 
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--gen", "doubleshuffle", "--a", "2,1", "--b", "3"),
+         "dbaa74aca168928d00e5f8dc8e7c3f6446802f856974ef5497ac1857e86829c1"),
+        (("--gen", "hoffman", "--s", "2,3,4"),
+         "1e672b114f029af9cf0dcbe21fbc1c5fd986517669fcade682cc3d7d5a04ca5e"),
+        (("--gen", "spitzer", "--k", "2", "--order", "3"),
+         "ec67f3556e0e56d7fd91017457ee12da4bcbd6384120116a75b65f8895f1a07e"),
+    ], ids=["doubleshuffle", "hoffman", "spitzer"])
+    def test_json_bytes_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "relation", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEval:
     def test_zeta(self, capsys):
         code, out, _ = run(capsys, "eval", "--comp", "2", "--N", "1000")
@@ -390,6 +404,15 @@ class TestCorpus:
         assert len(entries) == 79
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e5f54eb36f7bccc97b978c51c5e43d3c18dd6922b9edf7cf9e616055b0080bb6"
+        )
+
+    def test_build_corpus_bytes_pinned_benchmark_range(self):
+        # weight 12 and depth 5, the top of the benchmark's corpus builds
+        entries = build_corpus(12, 5, EvalConfig(N=2000))
+        text = "".join(canonical_json(e) + "\n" for e in entries)
+        assert len(entries) == 1066
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f7c40504d6090f7d3578e687840c710644fa9354b6cb772fcd95a462c7494f48"
         )
 
 
