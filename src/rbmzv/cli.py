@@ -36,7 +36,8 @@ RESIDUAL_TOL = 1e-4
 
 def canonical_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits; a float
-    that is not finite has no JSON form and raises ``ValueError``."""
+    that is not finite has no JSON form and raises ``ValueError``.  A
+    ``Relation`` renders as its ``json_text``."""
     # one encoder per call: json.dumps with a keyword builds one per string
     encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -62,6 +63,8 @@ def canonical_json(obj) -> str:
             return "{" + ", ".join(
                 f"{encode_str(str(k))}: {render(v)}" for k, v in items
             ) + "}"
+        if isinstance(obj, Relation):
+            return obj.json_text()
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
     return render(obj)
@@ -80,7 +83,7 @@ def _parse_weight(text: str):
     return _parse_fraction(text, "weight")
 
 
-def _emit(args, payload: dict, text: str):
+def _emit(args, payload, text: str):
     if args.format == "json":
         print(canonical_json(payload))
     else:
@@ -134,7 +137,7 @@ def cmd_relation(args) -> int:
         cong = mzv.congruence_zeta_relation(parse_composition(args.s), args.p)
         _emit(args, cong.to_json(), f"congruence mod {cong.p}: holds={cong.holds}")
         return 0 if cong.holds else 1
-    _emit(args, rel.to_json(), relation_text(rel))
+    _emit(args, rel, relation_text(rel))
     return 0
 
 
@@ -247,24 +250,40 @@ def _admissible_compositions(max_weight, max_depth):
     return sorted(out)
 
 
+def _double_shuffle_pairs(comps, max_weight, max_depth):
+    """The pairs (a, b) of ``comps`` (sorted and distinct) with a <= b,
+    wa + wb <= max_weight and da + db <= max_depth, ordered by a, then b.
+
+    The compositions are bucketed by (weight, depth), so only buckets whose
+    sizes fit together meet; sorting index pairs restores the order.
+    """
+    buckets = {}  # (weight, depth) -> indices into comps
+    for i, c in enumerate(comps):
+        buckets.setdefault((comp_weight(c), len(c)), []).append(i)
+    index_pairs = sorted(
+        (i, j)
+        for (wa, da), left in buckets.items()
+        for (wb, db), right in buckets.items()
+        if wa + wb <= max_weight and da + db <= max_depth
+        for i in left
+        for j in right
+        if i <= j
+    )
+    return [(comps[i], comps[j]) for i, j in index_pairs]
+
+
 def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
     """All golden-corpus entries within the bounds, verified, sorted."""
-    relations = []  # (relation, generator, params), in generation order
+    # (relation, generator, params, weight), in generation order
+    relations = []
     comps = _admissible_compositions(max_weight, max_depth)
-    sizes = [(comp_weight(c), len(c)) for c in comps]
-    # comps is sorted and distinct, so b >= a exactly from a's own index on
-    for i, a in enumerate(comps):
-        wa, da = sizes[i]
-        for j in range(i, len(comps)):
-            wb, db = sizes[j]
-            if wa + wb > max_weight or da + db > max_depth:
-                continue
-            b = comps[j]
-            relations.append((
-                mzv.double_shuffle_relation(a, b),
-                "doubleshuffle",
-                f"{composition_str(a)}|{composition_str(b)}",
-            ))
+    for a, b in _double_shuffle_pairs(comps, max_weight, max_depth):
+        relations.append((
+            mzv.double_shuffle_relation(a, b),
+            "doubleshuffle",
+            f"{composition_str(a)}|{composition_str(b)}",
+            comp_weight(a) + comp_weight(b),
+        ))
     for n in (2, 3):
         if n > max_depth:
             continue
@@ -275,6 +294,7 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
                 mzv.hoffman_partition_relation(s),
                 "hoffman",
                 ",".join(str(p) for p in s),
+                sum(s),
             ))
     for k in range(2, max_weight + 1):
         for order in range(2, max_depth + 1):
@@ -284,19 +304,20 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
                 mzv.spitzer_zeta_relation(k, order),
                 "spitzer",
                 f"k={k},order={order}",
+                k * order,
             ))
     values = numeric_eval.zeta_values(
-        dict.fromkeys(c for rel, _, _ in relations for c in rel.compositions()),
+        dict.fromkeys(c for rel, *_ in relations for c in rel.compositions()),
         cfg,
     )
     entries = []
-    for rel, generator, params in relations:
+    for rel, generator, params, w in relations:
         residual = numeric_eval.eval_relation(rel, values)
         entries.append({
-            "weight": rel.max_weight(),
+            "weight": w,
             "generator": generator,
             "params": params,
-            "relation": rel.to_json(),
+            "relation": rel,
             "residual": residual,
             "N": cfg.N,
             "tolerance": RESIDUAL_TOL,

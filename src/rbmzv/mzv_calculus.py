@@ -12,6 +12,10 @@ A composition is a tuple of positive integers; it is admissible when its
 first part is >= 2.  A ZetaCombo is a dict composition -> coefficient.
 A Relation is a sum-to-zero combination of monomials, each monomial a
 sorted tuple of compositions standing for a product of zeta symbols.
+Its coefficients are exact: an integral one is an ``int`` and any other a
+``Fraction`` (only Spitzer's 1/order! makes one).  ``Relation.json_text``
+is a relation's one JSON form; ``cli.canonical_json`` renders a relation
+through it.
 
 The Hoffman and Spitzer relations share one sum, the Bohnenblust-Spitzer
 formula over the set partitions of the exponent positions:
@@ -32,6 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .identity_engine import _mod_p_failure, _signed_set_partitions, freshman_power
 from .letters import COMPOSITION, QLETTERS
@@ -147,40 +152,49 @@ def _shuffle_parts(a, b, memo):
     return out
 
 
+def _exact(c):
+    """The coefficient rule: an integral ``c`` as ``int``, any other as
+    ``Fraction``; ``str`` and ``float`` of the two agree on equal values."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class Relation:
-    """A combination of zeta monomials asserted to sum to zero."""
+    """A combination of zeta monomials asserted to sum to zero.
 
-    terms: tuple  # ((Monomial, Fraction), ...) in canonical order
+    Each coefficient is an ``int`` when integral and a ``Fraction``
+    otherwise (``_exact``).  ``json_text`` is the relation's one JSON form.
+    """
+
+    terms: tuple  # ((Monomial, int | Fraction), ...) in canonical order
     source: str
 
     @classmethod
     def from_dict(cls, terms: dict, source: str) -> "Relation":
         items = tuple(
-            (m, Fraction(c)) for m, c in sorted(terms.items()) if c
+            (m, _exact(c)) for m, c in sorted(terms.items()) if c
         )
         return cls(items, source)
 
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def max_weight(self) -> int:
-        return max(
-            (sum(weight(c) for c in m) for m, _ in self.terms), default=0
-        )
-
     def compositions(self):
         """Distinct compositions in order of first appearance."""
         return list(dict.fromkeys(c for m, _ in self.terms for c in m))
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "terms": [
-                {"coef": str(c), "monomial": [list(comp) for comp in m]}
-                for m, c in self.terms
-            ],
-        }
+    def json_text(self) -> str:
+        """``{"source": ..., "terms": [{"coef": ..., "monomial": ...}, ...]}``
+        with ``cli.canonical_json``'s sorted keys and separators."""
+        # str of a list of int lists is its JSON text, with ", " separators
+        terms = ", ".join(
+            f'{{"coef": "{c!s}", "monomial": {[list(comp) for comp in m]!s}}}'
+            for m, c in self.terms
+        )
+        return f'{{"source": {encode_basestring(self.source)}, "terms": [{terms}]}}'
 
     @classmethod
     def from_json(cls, data: dict) -> "Relation":
@@ -199,13 +213,13 @@ def double_shuffle_relation(a: Composition, b: Composition) -> Relation:
     """stuffle(a, b) - shuffle(a, b) = 0, in single zeta symbols."""
     require_admissible(a)
     require_admissible(b)
-    terms: dict = {}
-    for c, coef in stuffle(a, b).items():
-        _add_term(terms, _mono(c), coef)
+    terms = stuffle(a, b)  # a fresh dict, merged into in place
+    get = terms.get
     for c, coef in shuffle_zeta(a, b).items():
-        _add_term(terms, _mono(c), -coef)
-    return Relation.from_dict(
-        terms, f"double_shuffle({composition_str(a)}|{composition_str(b)})"
+        terms[c] = get(c, 0) - coef
+    return Relation(
+        tuple(((c,), _exact(v)) for c, v in sorted(terms.items()) if v),
+        f"double_shuffle({composition_str(a)}|{composition_str(b)})",
     )
 
 
@@ -224,7 +238,7 @@ def hoffman_partition_relation(s: tuple) -> Relation:
         raise InadmissibleError("all exponents must be >= 2")
     terms: dict = {}
     for perm in itertools.permutations(s):
-        _add_term(terms, _mono(perm), Fraction(1))
+        _add_term(terms, _mono(perm), 1)
     _add_partition_sum(terms, s, -1)
     return Relation.from_dict(
         terms, f"hoffman({','.join(str(p) for p in s)})"
@@ -241,7 +255,7 @@ def spitzer_zeta_relation(k: int, order: int) -> Relation:
         raise ValueError("k must be >= 2")
     if not 1 <= order <= 6:
         raise ValueError("order must be in 1..6")
-    terms: dict = {_mono((k,) * order): Fraction(1)}
+    terms: dict = {_mono((k,) * order): 1}
     _add_partition_sum(terms, (k,) * order, Fraction(-1, math.factorial(order)))
     return Relation.from_dict(terms, f"spitzer(k={k},order={order})")
 

@@ -378,22 +378,16 @@ def nested_sum_oracle(s: tuple, N: int, x: Fraction = Fraction(0)) -> Fraction:
     return rec(0, N + 1)
 
 
-def eval_monomial(m: tuple, values: dict) -> float:
-    """Product of the values of a monomial's compositions, taken from
-    ``values`` (a ``zeta_values`` result)."""
-    value = 1.0
-    for comp in m:
-        value *= values[comp].value
-    return value
-
-
 def eval_relation(r: Relation, values: dict) -> float:
     """Absolute residual of a relation under numeric evaluation.
 
     ``values`` is a ``zeta_values`` result holding every composition of
-    ``r``.
+    ``r``; a monomial's value is the product of its compositions' values.
     """
     total = 0.0
     for m, c in r.terms:
-        total += float(c) * eval_monomial(m, values)
+        value = 1.0
+        for comp in m:
+            value *= values[comp].value
+        total += float(c) * value
     return abs(total)

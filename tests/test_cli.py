@@ -4,7 +4,8 @@ import json
 import pytest
 
 from rbmzv import cli
-from rbmzv.cli import build_corpus, canonical_json, main
+from rbmzv.cli import _admissible_compositions, build_corpus, canonical_json, main
+from rbmzv.mzv_calculus import Relation
 from rbmzv.numeric_eval import EvalConfig, EvalResult
 
 
@@ -405,6 +406,29 @@ class TestCorpus:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e5f54eb36f7bccc97b978c51c5e43d3c18dd6922b9edf7cf9e616055b0080bb6"
         )
+
+    def test_relation_text_is_canonical_json(self):
+        # the C encoder writes canonical_json's bytes for float-free data
+        entries = build_corpus(12, 5, EvalConfig(N=2000))
+        relations = [e["relation"] for e in entries
+                     if isinstance(e["relation"], Relation)]
+        assert len(relations) == 1066 - 38
+        for rel in relations:
+            t = rel.json_text()
+            assert json.dumps(json.loads(t), sort_keys=True,
+                              ensure_ascii=False) == t
+            assert canonical_json(rel) == t
+
+    def test_double_shuffle_pairs_in_scan_order(self):
+        # the bucketed pairs are the all-index-pairs scan's, in its order
+        for max_weight in range(13):
+            for max_depth in range(6):
+                comps = _admissible_compositions(max_weight, max_depth)
+                scan = [(a, b) for i, a in enumerate(comps) for b in comps[i:]
+                        if sum(a) + sum(b) <= max_weight
+                        and len(a) + len(b) <= max_depth]
+                assert cli._double_shuffle_pairs(
+                    comps, max_weight, max_depth) == scan, (max_weight, max_depth)
 
     def test_build_corpus_bytes_pinned_benchmark_range(self):
         # weight 12 and depth 5, the top of the benchmark's corpus builds

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -197,13 +198,24 @@ class TestRelation:
         )
         assert r.terms == ((((3, 1),), Fraction(-4)), (((4,),), Fraction(1)))
 
-    def test_json_round_trip(self):
-        r = double_shuffle_relation((2,), (3,))
-        assert Relation.from_json(r.to_json()) == r
+    @pytest.mark.parametrize("r", [
+        double_shuffle_relation((2,), (3,)),
+        hoffman_partition_relation((2, 3, 4)),
+        spitzer_zeta_relation(2, 3),
+    ], ids=["doubleshuffle", "hoffman", "spitzer"])
+    def test_json_round_trip(self, r):
+        assert Relation.from_json(json.loads(r.json_text())) == r
 
-    def test_max_weight(self):
-        r = double_shuffle_relation((2,), (2,))
-        assert r.max_weight() == 4
+    def test_json_text_escapes_the_source(self):
+        r = Relation(((((2,), (3, 1)), Fraction(-1, 2)), (((5,),), 3)),
+                     'quote " backslash \\ tab \t é')
+        t = r.json_text()
+        assert json.dumps(json.loads(t), sort_keys=True, ensure_ascii=False) == t
+        assert json.loads(t) == {
+            "source": r.source,
+            "terms": [{"coef": "-1/2", "monomial": [[2], [3, 1]]},
+                      {"coef": "3", "monomial": [[5]]}],
+        }
 
     def test_compositions_in_order_of_first_appearance(self):
         r = Relation(
@@ -230,9 +242,19 @@ class TestDoubleShuffle:
         assert d[((4, 1),)] == -6
         assert d[((3, 2),)] == -2
 
-    def test_coefficients_are_fractions(self):
-        r = double_shuffle_relation((3, 1), (2, 2))
-        assert r.terms and all(type(c) is Fraction for _, c in r.terms)
+    @pytest.mark.parametrize("r", [
+        double_shuffle_relation((3, 1), (2, 2)),
+        hoffman_partition_relation((2, 2, 3)),
+        spitzer_zeta_relation(2, 4),
+        Relation.from_json(json.loads(spitzer_zeta_relation(3, 3).json_text())),
+        Relation.from_dict({((2,),): 2.0, ((3,),): 0.5, ((4,),): Fraction(6, 3)},
+                           "test"),
+    ], ids=["doubleshuffle", "hoffman", "spitzer", "from_json", "from_dict"])
+    def test_coefficients_are_exact(self, r):
+        # an integral coefficient is an int, any other a Fraction; never a float
+        assert r.terms
+        for _, c in r.terms:
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
 
     def test_stuffle_terms_cancel(self):
         # compositions appearing in both expansions partially cancel
