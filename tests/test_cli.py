@@ -180,7 +180,6 @@ class TestRelation:
         )
         assert code == 2
 
-
     @pytest.mark.parametrize("argv, digest", [
         (("--gen", "doubleshuffle", "--a", "2,1", "--b", "3"),
          "dbaa74aca168928d00e5f8dc8e7c3f6446802f856974ef5497ac1857e86829c1"),
@@ -412,7 +411,7 @@ class TestCorpus:
         entries = build_corpus(12, 5, EvalConfig(N=2000))
         relations = [e["relation"] for e in entries
                      if isinstance(e["relation"], Relation)]
-        assert len(relations) == 1066 - 38
+        assert len(relations) == 1066 - 38  # all but the congruence entries
         for rel in relations:
             t = rel.json_text()
             assert json.dumps(json.loads(t), sort_keys=True,
