@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from rbmzv import ShaAlgebra
 from rbmzv.letters import COMPOSITION, LetterSystem
 from rbmzv.mzv_calculus import require_admissible
+from rbmzv.tensor_algebra import ShaAlgebra
 
 
 # --- the word encoding of zeta values: the reference for shuffle_zeta ---

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from rbmzv import ShaAlgebra
 from rbmzv.cli import main as cli_main
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
 from rbmzv.identity_engine import (
@@ -41,7 +40,7 @@ from rbmzv.operator_gallery import (
     rb_defect,
     z_rb_defect,
 )
-from rbmzv.tensor_algebra import mixable_shuffle
+from rbmzv.tensor_algebra import ShaAlgebra, mixable_shuffle
 
 from conftest import random_sha_element
 

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from rbmzv import ShaAlgebra
 from rbmzv.cli import canonical_json
 from rbmzv.identity_engine import (
     _mod_p_failure,
@@ -15,6 +14,7 @@ from rbmzv.identity_engine import (
     spitzer_check,
 )
 from rbmzv.letters import COMPOSITION, MONOMIAL, QLETTERS
+from rbmzv.tensor_algebra import ShaAlgebra
 
 
 def bell_numbers(n):

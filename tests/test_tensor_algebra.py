@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from rbmzv import ShaAlgebra
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
 from rbmzv.letters import COMPOSITION, QLETTERS, LetterSystem
-from rbmzv.tensor_algebra import mixable_shuffle, render_word
+from rbmzv.tensor_algebra import ShaAlgebra, mixable_shuffle, render_word
 
 from conftest import WORD, X0, X1, random_sha_element
 
