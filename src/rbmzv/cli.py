@@ -125,16 +125,18 @@ def cmd_product(args) -> int:
 
 
 def cmd_relation(args) -> int:
+    # parsed for every generator, so a malformed flag is never dropped unseen
+    a = parse_composition(args.a)
+    b = parse_composition(args.b)
+    s = parse_composition(args.s)
     if args.gen == "doubleshuffle":
-        rel = mzv.double_shuffle_relation(
-            parse_composition(args.a), parse_composition(args.b)
-        )
+        rel = mzv.double_shuffle_relation(a, b)
     elif args.gen == "hoffman":
-        rel = mzv.hoffman_partition_relation(parse_composition(args.s))
+        rel = mzv.hoffman_partition_relation(s)
     elif args.gen == "spitzer":
         rel = mzv.spitzer_zeta_relation(args.k, args.order)
     else:
-        cong = mzv.congruence_zeta_relation(parse_composition(args.s), args.p)
+        cong = mzv.congruence_zeta_relation(s, args.p)
         _emit(args, cong.to_json(), f"congruence mod {cong.p}: holds={cong.holds}")
         return 0 if cong.holds else 1
     _emit(args, rel, relation_text(rel))
@@ -177,6 +179,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
+    # parsed for every check, so a malformed --word is never dropped unseen
+    word = parse_composition(args.word)
     if args.what == "spitzer":
         report = identity_engine.spitzer_check(args.order)
     elif args.what == "expstar":
@@ -184,9 +188,7 @@ def cmd_verify(args) -> int:
     elif args.what == "bohnenblust":
         report = identity_engine.bohnenblust_spitzer_check(args.n)
     elif args.what == "congruence":
-        report = identity_engine.congruence_check(
-            parse_composition(args.word), args.p
-        )
+        report = identity_engine.congruence_check(word, args.p)
     else:  # zrb, integration, jackson
         defects = _gallery_defects(args.what, rng, args.window)
         ok = not any(any(d) for d in defects)

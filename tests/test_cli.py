@@ -337,6 +337,19 @@ class TestVerify:
         assert out == f"{what}: FAILED\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("relation", "--gen", "spitzer", "--s", "abc"),
+    ("relation", "--gen", "hoffman", "--a", "x,y"),
+    ("relation", "--gen", "doubleshuffle", "--s", "0"),
+    ("verify", "spitzer", "--order", "2", "--word", "abc"),
+    ("verify", "bohnenblust", "--n", "2", "--word", "0,0"),
+])
+def test_flag_the_branch_does_not_read_is_parsed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCorpus:
     def test_build_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "corpus1.jsonl"
