@@ -268,10 +268,7 @@ class CongruenceRelation:
     p: int
     power: tuple  # ((Composition, int), ...), the stuffle expansion of zeta(s)^p
     target: Composition
-
-    @property
-    def holds(self) -> bool:
-        return _mod_p_failure(dict(self.power), self.target, self.p) is None
+    holds: bool  # power = target mod p
 
     def to_json(self) -> dict:
         return {
@@ -294,4 +291,5 @@ def congruence_zeta_relation(s: Composition, p: int) -> CongruenceRelation:
         p=p,
         power=tuple(sorted((m, int(c)) for m, c in power.items())),
         target=target,
+        holds=_mod_p_failure(power, target, p) is None,
     )

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmzv import mzv_calculus
 from rbmzv.cli import _admissible_compositions
 from rbmzv.coefficients import ONE_MINUS_Q
 from rbmzv.tensor_algebra import _add_term, mixable_shuffle
 from rbmzv.mzv_calculus import (
-    CongruenceRelation,
     InadmissibleError,
     Relation,
     composition_str,
@@ -385,12 +385,11 @@ class TestCongruenceZeta:
         with pytest.raises(ValueError):
             congruence_zeta_relation((2,), 4)
 
-    def test_tampered_power_fails(self):
-        rel = congruence_zeta_relation((2,), 2)
-        bad = CongruenceRelation(
-            base=rel.base,
-            p=rel.p,
-            power=(((2, 2), 3), ((4,), 1)),
-            target=rel.target,
-        )
+    def test_tampered_power_fails(self, monkeypatch):
+        # the verdict is read off the power the relation is built from
+        monkeypatch.setattr(mzv_calculus, "freshman_power",
+                            lambda s, p: {(2, 2): 3, (4,): 1})
+        bad = congruence_zeta_relation((2,), 2)
+        assert bad.power == (((2, 2), 3), ((4,), 1))
         assert not bad.holds
+        assert bad.to_json()["holds"] is False
