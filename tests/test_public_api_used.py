@@ -15,8 +15,8 @@ is in ``KEPT``.
 Names are matched by spelling, not resolved: an attribute ``x.foo`` or a
 global ``foo`` keeps every definition named ``foo`` alive, while a name a
 function binds itself (a parameter or a local variable) refers to
-nothing.  An import is not a use, so re-exporting a name from
-``__init__.py`` does not keep it alive.  The benchmark also names library
+nothing.  An import is not a use, so a name that another module only
+imports is not kept alive by it.  The benchmark also names library
 functions in strings (``spans.TARGETS``, ``getattr(mzv, family)``), so
 there a string equal to a qualified name (``f`` or ``Class.method``)
 refers to that definition.
