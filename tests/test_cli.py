@@ -137,6 +137,21 @@ class TestProduct:
         _, out2, _ = run(capsys, "product", "2,1", "3")
         assert out1 == out2
 
+    # the largest stuffle of perfbench's symbolic workload but one, and
+    # mixable products on its 4- and 5-part arguments
+    @pytest.mark.parametrize("argv, digest", [
+        (("--mode", "stuffle", "1,2,3,5,7,9", "1,2,4,5,6,7,9"),
+         "042e14ac30d40628a675e7cd6e99c61341063575bb102d343aa22b7154adfc2b"),
+        (("--mode", "mixable", "--weight", "-1", "1,3,4,6", "2,3,5,7,8"),
+         "0e0468471e6bf03f4b2063d678d986249693e164e69c0811a93c9335ff6e2abb"),
+        (("--mode", "mixable", "--weight", "1-q", "1,3,4,6", "2,3,5,7,8"),
+         "175e54e79872f9d3108e2997f1ae175cb98cc181412b1c3ff86d0d519ddbed16"),
+    ], ids=["stuffle-6x7", "mixable-minus-one", "mixable-one-minus-q"])
+    def test_json_bytes_pinned_benchmark_size(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "product", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRelation:
     def test_doubleshuffle(self, capsys):

@@ -102,6 +102,17 @@ class TestQStuffle:
                 got[c] = got.get(c, 0) + val
         assert got == classical
 
+    def test_sorted_text_pinned(self):
+        # a 5 x 5 q-stuffle of perfbench's symbolic workload; the text names
+        # each coefficient's type, so an int turned PolyQ shows
+        got = q_stuffle((1, 2, 4, 6, 9), (2, 3, 5, 7, 8))
+        text = "".join(f"{w} {type(c).__name__} {c}\n"
+                       for w, c in sorted(got.items()))
+        assert len(got) == 5237
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f5f8bad454c6e259f4057abfefd4d3484688bf566105fa637c984c979fea7b64"
+        )
+
 
 class TestWordEncoding:
     def test_examples(self):

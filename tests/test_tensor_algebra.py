@@ -129,6 +129,23 @@ class TestMixableShuffle:
                 assert mixable_shuffle(COMPOSITION, a, b, lam) == \
                     mixable_shuffle_direct(COMPOSITION, a, b, lam)
 
+    @pytest.mark.parametrize("letters", [(2, 1, 3, 5, 4, 6), (2, 2, 1, 2, 2, 1)],
+                             ids=["distinct", "repeated"])
+    @pytest.mark.parametrize("system", [COMPOSITION, QLETTERS, WORD],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("weight", [0, 1, -1, 2, ONE_MINUS_Q],
+                             ids=["0", "1", "-1", "2", "1-q"])
+    def test_direct_matches_every_length_pair(self, letters, system, weight):
+        # every (m, n) in 0..5 x 0..5: both sides of any length rule, and
+        # every position at which a word may be cut
+        for m, n in itertools.product(range(6), repeat=2):
+            a, b = letters[:m], letters[::-1][:n]
+            got = mixable_shuffle(system, a, b, weight)
+            expect = mixable_shuffle_direct(system, a, b, weight)
+            assert got == expect, (m, n)
+            assert {w: type(c) for w, c in got.items()} == \
+                {w: type(c) for w, c in expect.items()}, (m, n)
+
     def test_direct_matches_recursive_q_letters(self):
         got_r = mixable_shuffle(QLETTERS, (2, 1), (3,), 1)
         got_d = mixable_shuffle_direct(QLETTERS, (2, 1), (3,), 1)
