@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import identity_engine, mzv_calculus as mzv, numeric_eval, operator_gallery as ops
+from . import identity_engine, mzv_calculus as mzv, operator_gallery as ops
 from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
 from .letters import COMPOSITION
 from .mzv_calculus import (
@@ -28,7 +28,6 @@ from .mzv_calculus import (
     parse_composition,
     weight as comp_weight,
 )
-from .numeric_eval import EvalConfig
 from .tensor_algebra import mixable_shuffle
 
 RESIDUAL_TOL = 1e-4
@@ -152,11 +151,15 @@ def relation_text(rel: Relation) -> str:
 
 
 def cmd_eval(args) -> int:
+    # imported here and in the corpus build, so that the commands that
+    # evaluate nothing start without numpy
+    from . import numeric_eval
+
     s = parse_composition(args.comp)
     # both branches check --x, although the q-MZV walk does not read it
     x = _parse_fraction(args.x, "x")
     if args.q is not None:
-        cfg = EvalConfig(q=_parse_fraction(args.q, "q"), K=args.K, x=x)
+        cfg = numeric_eval.EvalConfig(q=_parse_fraction(args.q, "q"), K=args.K, x=x)
         res = numeric_eval.qmzv_num(s, cfg)
         payload = {
             "comp": composition_str(s),
@@ -165,7 +168,7 @@ def cmd_eval(args) -> int:
             **res.to_json(),
         }
     else:
-        cfg = EvalConfig(N=args.N, x=x)
+        cfg = numeric_eval.EvalConfig(N=args.N, x=x)
         res = numeric_eval.zeta_num(s, cfg)
         payload = {
             "comp": composition_str(s),
@@ -274,8 +277,11 @@ def _double_shuffle_pairs(comps, max_weight, max_depth):
     return [(comps[i], comps[j]) for i, j in index_pairs]
 
 
-def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
-    """All golden-corpus entries within the bounds, verified, sorted."""
+def build_corpus(max_weight: int, max_depth: int, cfg):
+    """All golden-corpus entries within the bounds, verified, sorted;
+    ``cfg`` is the ``numeric_eval.EvalConfig`` of the residuals."""
+    from . import numeric_eval
+
     # (relation, generator, params, weight), in generation order
     relations = []
     comps = _admissible_compositions(max_weight, max_depth)
@@ -347,6 +353,8 @@ def build_corpus(max_weight: int, max_depth: int, cfg: EvalConfig):
 
 
 def cmd_corpus(args) -> int:
+    from .numeric_eval import EvalConfig
+
     cfg = EvalConfig(N=args.N)
     # the least entry is congruence (2),p=2, of weight 4 and depth 1
     if args.max_weight < 4 or args.max_depth < 1:
@@ -375,7 +383,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("stuffle", "shuffle", "mixable"),
                    default="stuffle")
     p.add_argument("--weight", default="1",
-                   help="mixable-shuffle weight: 0, 1, -1 or 1-q")
+                   help="mixable-shuffle weight: any rational, such as 0, -1 "
+                        "or 1/2, or 1-q")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_product)

@@ -1,12 +1,15 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from rbmzv import cli
+from rbmzv import cli, numeric_eval
 from rbmzv.cli import _admissible_compositions, build_corpus, canonical_json, main
-from rbmzv.mzv_calculus import Relation
+from rbmzv.letters import COMPOSITION
+from rbmzv.mzv_calculus import Relation, composition_str
 from rbmzv.numeric_eval import EvalConfig, EvalResult
+from rbmzv.tensor_algebra import mixable_shuffle
 
 
 def run(capsys, *argv):
@@ -131,6 +134,16 @@ class TestProduct:
         assert (code, err) == (0, "")
         _, ref, _ = run(capsys, "product", "--mode", mode, "2", "3")
         assert out == ref
+
+    def test_rational_weight(self, capsys):
+        code, out, _ = run(
+            capsys, "product", "--mode", "mixable", "--weight", "1/2", "2,1", "3,4"
+        )
+        assert code == 0
+        expect = mixable_shuffle(COMPOSITION, (2, 1), (3, 4), Fraction(1, 2))
+        got = {t["comp"]: t["coef"] for t in json.loads(out)["terms"]}
+        assert got == {composition_str(w): str(c) for w, c in expect.items()}
+        assert got["5,5"] == "1/4"  # two merges, each weighted 1/2
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "product", "2,1", "3")
@@ -276,7 +289,7 @@ class TestEval:
         assert out == ref
 
     def test_non_finite_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.numeric_eval, "zeta_num",
+        monkeypatch.setattr(numeric_eval, "zeta_num",
                             lambda s, cfg: EvalResult(float("inf"), 0.0))
         code, out, err = run(capsys, "eval", "--comp", "2")
         assert (code, out) == (2, "")
