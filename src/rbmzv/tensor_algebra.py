@@ -15,13 +15,13 @@ top-level product and lives only for that product, so it is keyed on the
 suffix pair alone and can never return a result computed for another
 letter system or weight.  ``mixable_shuffle`` of a word a of at least 4
 letters by a word b of at least 2 does not run ``_msh`` on the whole pair:
-it cuts a in the middle and joins the two halves' products, each from
-``_msh`` with its own memo, so that it builds about one word tuple per
+it cuts a in the middle and joins the two halves' products, both from
+``_msh`` with one memo, so that it builds about one word tuple per
 output word rather than one per word of every subproblem (measured in its
-docstring; the join is slower below that size).  ``ShaElement.__mul__``
-calls ``_msh`` directly, since its tails are short and share one memo.
-The p-th power of one pure tensor over
-composition letters, behind the Freshman's-Dream congruence, is
+docstring; below that size the join gains little or loses).
+``ShaElement.__mul__`` calls ``_msh`` directly, since its tails are short
+and share one memo.  The p-th power of one pure tensor over composition
+letters, behind the Freshman's-Dream congruence, is
 ``identity_engine.freshman_power``.
 """
 
@@ -62,22 +62,23 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
     consuming b[:j], or by merging it with b[j-1].  So the product is the
     sum over j = 0..len(b) of prefix * suffix, where the prefixes are the
     words of a[:c] ш b[:j] whose last letter uses a[c-1], and the suffixes
-    are the words of a[c:] ш b[j:].  Both sides come from ``_msh``, each
-    with its own memo: the prefixes from the reversed words, so that their
+    are the words of a[c:] ш b[j:].  Both sides come from ``_msh`` with
+    one memo: the prefixes from the reversed words, so that their
     subproblems are suffix pairs too, each word reversed once.  The join
     builds about one tuple per output word, where the plain recursion builds
     one per word of every memoized subproblem: a 7x7 stuffle on the
-    benchmark's parts makes about 50,000 tuples instead of 117,000.
+    benchmark's parts makes about 50,000 tuples instead of about 115,000.
 
     The join runs when a has at least 4 letters and b at least 2.  Measured
-    as plain / join time, best of 5 timeit runs, stuffle and q-stuffle, on
-    a 2-CPU Xeon with Python 3.11.7:
+    as plain / join time of the stuffle and the q-stuffle of
+    (1, 2, 3, 4, 6, 8, 9)[:m] by (1, 2, 4, 5, 6, 7, 9)[:n], best of 10
+    timeit runs on a 2-CPU Xeon with Python 3.11.7:
 
-    - a of 2 or 3 letters (c = 1): 0.91 and 0.74 at 2x2, 1.04 and 0.90
-      at 3x3, q-stuffle 0.69 at 3x4 and 0.80 at 2x5
-    - b of 1 letter: 0.99 and 0.76 at 4x1, 1.08 and 0.81 at 6x1
-    - 1.10 and 1.07 at 4x2, 1.25 and 1.50 at 4x3, 1.30 and 2.00 at 4x4,
-      1.98 and 1.55 at 5x5, stuffle 3.01 at 6x6 and 3.66 at 7x7
+    - below the rule: 0.75 and 0.95 at 2x2, 1.00 and 0.99 at 3x3, 0.83
+      and 0.86 at 4x1, 1.05 and 1.09 at 6x1, 1.36 and 1.07 at 3x4
+    - above it: 1.14 and 1.27 at 4x2, 1.31 and 1.54 at 4x3, 1.57 and 1.78
+      at 4x4, 1.88 and 1.89 at 5x5, 3.21 and 3.25 at 6x6, 3.65 and 2.55
+      at 7x7
     """
     a, b = tuple(a), tuple(b)
     if len(a) < 4 or len(b) < 2:
@@ -85,26 +86,28 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
     c, n = len(a) // 2, len(b)
     last, head, tail = a[c - 1], a[:c - 1][::-1], a[c:]
     rb = b[::-1]  # rb[n - j:] is b[:j] reversed
-    front: dict = {}
-    back: dict = {}
+    memo: dict = {}
     out: dict = {}
     get = out.get
     for j in range(n + 1):
         # the prefixes ending in a[c-1] alone, then in a[c-1] merged with b[j-1]
         pre = {w[::-1] + (last,): cw
-               for w, cw in _msh(system, head, rb[n - j:], weight, front).items()}
+               for w, cw in _msh(system, head, rb[n - j:], weight, memo).items()}
         if weight and j:
-            sub = _msh(system, head, rb[n - j + 1:], weight, front)
+            sub = _msh(system, head, rb[n - j + 1:], weight, memo)
             for pc, p in _unit_product(system, last, b[j - 1]):
                 coef = weight * pc
                 for w, cw in sub.items():
                     _add_term(pre, w[::-1] + (p,), coef * cw)
-        suf = _msh(system, tail, b[j:], weight, back)
+        suf = _msh(system, tail, b[j:], weight, memo)
         for pw, cp in pre.items():
+            # an int 1 leaves cs as it is: no product, which for a PolyQ is slow
+            unit = type(cp) is int and cp == 1
             for sw, cs in suf.items():
                 nw = pw + sw
                 v = get(nw)
-                out[nw] = cp * cs if v is None else v + cp * cs
+                t = cs if unit else cp * cs
+                out[nw] = t if v is None else v + t
     for nw in [w for w, v in out.items() if not v]:
         del out[nw]
     return out

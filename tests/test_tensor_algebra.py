@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -129,16 +130,18 @@ class TestMixableShuffle:
                 assert mixable_shuffle(COMPOSITION, a, b, lam) == \
                     mixable_shuffle_direct(COMPOSITION, a, b, lam)
 
-    @pytest.mark.parametrize("letters", [(2, 1, 3, 5, 4, 6), (2, 2, 1, 2, 2, 1)],
+    @pytest.mark.parametrize("letters", [(2, 1, 3, 5, 4, 6, 7), (2, 2, 1, 2, 2, 1, 2)],
                              ids=["distinct", "repeated"])
     @pytest.mark.parametrize("system", [COMPOSITION, QLETTERS, WORD],
                              ids=lambda s: s.name)
-    @pytest.mark.parametrize("weight", [0, 1, -1, 2, ONE_MINUS_Q],
-                             ids=["0", "1", "-1", "2", "1-q"])
+    # Fraction(-1) is the CLI's -1: two merges give Fraction(1), not int 1
+    @pytest.mark.parametrize("weight", [0, 1, -1, Fraction(-1), 2, ONE_MINUS_Q],
+                             ids=["0", "1", "-1", "-1-fraction", "2", "1-q"])
     def test_direct_matches_every_length_pair(self, letters, system, weight):
         # every (m, n) in 0..5 x 0..5: both sides of any length rule, and
-        # every position at which a word may be cut
-        for m, n in itertools.product(range(6), repeat=2):
+        # every position at which a word may be cut; 6x2 and 7x3 cut a
+        # after three letters, so the prefix words reverse nontrivially
+        for m, n in [*itertools.product(range(6), repeat=2), (6, 2), (7, 3)]:
             a, b = letters[:m], letters[::-1][:n]
             got = mixable_shuffle(system, a, b, weight)
             expect = mixable_shuffle_direct(system, a, b, weight)
