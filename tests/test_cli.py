@@ -201,6 +201,12 @@ class TestRelation:
         )
         assert code == 0
         assert json.loads(out)["holds"] is True
+        code, out, _ = run(
+            capsys, "--format", "text", "relation", "--gen", "congruence",
+            "--s", "2", "--p", "3",
+        )
+        assert code == 0
+        assert out == "congruence mod 3: holds=True\n"
 
     def test_congruence_divergent(self, capsys):
         code, _, err = run(
@@ -215,7 +221,9 @@ class TestRelation:
          "1e672b114f029af9cf0dcbe21fbc1c5fd986517669fcade682cc3d7d5a04ca5e"),
         (("--gen", "spitzer", "--k", "2", "--order", "3"),
          "ec67f3556e0e56d7fd91017457ee12da4bcbd6384120116a75b65f8895f1a07e"),
-    ], ids=["doubleshuffle", "hoffman", "spitzer"])
+        (("--gen", "congruence", "--s", "2,1", "--p", "3"),
+         "394ffb2517aac38c52e24ab3849ac914de50124ef4e7cc22f14b7db8435493ec"),
+    ], ids=["doubleshuffle", "hoffman", "spitzer", "congruence"])
     def test_json_bytes_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, "relation", *argv)
         assert code == 0
