@@ -136,8 +136,8 @@ def cmd_relation(args) -> int:
         rel = mzv.spitzer_zeta_relation(args.k, args.order)
     else:
         cong = mzv.congruence_zeta_relation(s, args.p)
-        _emit(args, cong.to_json(), f"congruence mod {cong.p}: holds={cong.holds}")
-        return 0 if cong.holds else 1
+        _emit(args, cong, f"congruence mod {cong['modulus']}: holds={cong['holds']}")
+        return 0 if cong["holds"] else 1
     _emit(args, rel, relation_text(rel))
     return 0
 
@@ -182,8 +182,11 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    # parsed for every check, so a malformed --word is never dropped unseen
+    # parsed and checked for every check, so a malformed --word or an empty
+    # --window is never dropped unseen
     word = parse_composition(args.word)
+    if args.window < 1:
+        raise ValueError("window must be >= 1")
     if args.what == "spitzer":
         report = identity_engine.spitzer_check(args.order)
     elif args.what == "expstar":
@@ -195,7 +198,8 @@ def cmd_verify(args) -> int:
     else:  # zrb, integration, jackson
         defects = _gallery_defects(args.what, rng, args.window)
         ok = not any(any(d) for d in defects)
-        print(f"{args.what}: {'ok' if ok else 'FAILED'}")
+        _emit(args, {"name": args.what, "verdict": "equal" if ok else "unequal"},
+              f"{args.what}: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 1
     _emit(args, report.to_json(), f"{report.name}: {report.verdict}")
     return 0 if report.equal else 1
@@ -218,8 +222,6 @@ def _gallery_defects(what, rng, window):
     """Yield the defects of five random trials of one gallery identity
     (``zrb``, ``integration`` or ``jackson``); a defect with a nonzero
     entry is a failure."""
-    if what == "zrb" and window < 1:
-        raise ValueError("window must be >= 1")
     for _ in range(5):
         if what == "zrb":
             f = _rand_seq(rng, window)
@@ -256,25 +258,16 @@ def _admissible_compositions(max_weight, max_depth):
 
 
 def _double_shuffle_pairs(comps, max_weight, max_depth):
-    """The pairs (a, b) of ``comps`` (sorted and distinct) with a <= b,
-    wa + wb <= max_weight and da + db <= max_depth, ordered by a, then b.
-
-    The compositions are bucketed by (weight, depth), so only buckets whose
-    sizes fit together meet; sorting index pairs restores the order.
-    """
-    buckets = {}  # (weight, depth) -> indices into comps
-    for i, c in enumerate(comps):
-        buckets.setdefault((comp_weight(c), len(c)), []).append(i)
-    index_pairs = sorted(
-        (i, j)
-        for (wa, da), left in buckets.items()
-        for (wb, db), right in buckets.items()
-        if wa + wb <= max_weight and da + db <= max_depth
-        for i in left
-        for j in right
-        if i <= j
-    )
-    return [(comps[i], comps[j]) for i, j in index_pairs]
+    """The pairs (a, b) of ``comps`` (the sorted admissible compositions
+    within the bounds) with a <= b, wa + wb <= max_weight and
+    da + db <= max_depth, ordered by a, then b."""
+    return [
+        (a, b)
+        for a in comps
+        for b in _admissible_compositions(max_weight - comp_weight(a),
+                                          max_depth - len(a))
+        if a <= b
+    ]
 
 
 def build_corpus(max_weight: int, max_depth: int, cfg):
@@ -319,35 +312,31 @@ def build_corpus(max_weight: int, max_depth: int, cfg):
         cfg,
     )
     entries = []
-    for rel, generator, params, w in relations:
-        residual = numeric_eval.eval_relation(rel, values)
+
+    def add(weight, generator, params, relation, residual, verified, mode):
         entries.append({
-            "weight": w,
+            "weight": weight,
             "generator": generator,
             "params": params,
-            "relation": rel,
+            "relation": relation,
             "residual": residual,
             "N": cfg.N,
             "tolerance": RESIDUAL_TOL,
-            "verified": residual <= RESIDUAL_TOL,
-            "mode": "numeric",
+            "verified": verified,
+            "mode": mode,
         })
+
+    for rel, generator, params, w in relations:
+        residual = numeric_eval.eval_relation(rel, values)
+        add(w, generator, params, rel, residual, residual <= RESIDUAL_TOL, "numeric")
     for s in comps:
         for p in (2, 3):
-            if p * comp_weight(s) > max_weight:
+            w = p * comp_weight(s)
+            if w > max_weight:
                 continue
             cong = mzv.congruence_zeta_relation(s, p)
-            entries.append({
-                "weight": p * comp_weight(s),
-                "generator": "congruence",
-                "params": f"{composition_str(s)},p={p}",
-                "relation": cong.to_json(),
-                "residual": 0.0,
-                "N": cfg.N,
-                "tolerance": RESIDUAL_TOL,
-                "verified": cong.holds,
-                "mode": "exact-mod-p",
-            })
+            add(w, "congruence", f"{composition_str(s)},p={p}", cong, 0.0,
+                cong["holds"], "exact-mod-p")
     entries.sort(key=lambda e: (e["weight"], e["generator"], e["params"]))
     return entries
 

@@ -260,36 +260,16 @@ def spitzer_zeta_relation(k: int, order: int) -> Relation:
     return Relation.from_dict(terms, f"spitzer(k={k},order={order})")
 
 
-@dataclass(frozen=True)
-class CongruenceRelation:
-    """zeta(s)^p = zeta(p*s1,...,p*sn) mod p, expanded through the stuffle."""
-
-    base: Composition
-    p: int
-    power: tuple  # ((Composition, int), ...), the stuffle expansion of zeta(s)^p
-    target: Composition
-    holds: bool  # power = target mod p
-
-    def to_json(self) -> dict:
-        return {
-            "source": f"congruence({composition_str(self.base)},p={self.p})",
-            "modulus": self.p,
-            "target": list(self.target),
-            "power": [
-                {"coef": str(c), "comp": list(m)} for m, c in self.power
-            ],
-            "holds": self.holds,
-        }
-
-
-def congruence_zeta_relation(s: Composition, p: int) -> CongruenceRelation:
+def congruence_zeta_relation(s: Composition, p: int) -> dict:
+    """zeta(s)^p = zeta(p*s1,...,p*sn) mod p, expanded through the stuffle,
+    as its JSON dict; ``holds`` says whether the power is the target mod p."""
     require_admissible(s)
     power = freshman_power(s, p)
     target = tuple(p * part for part in s)
-    return CongruenceRelation(
-        base=s,
-        p=p,
-        power=tuple(sorted((m, int(c)) for m, c in power.items())),
-        target=target,
-        holds=_mod_p_failure(power, target, p) is None,
-    )
+    return {
+        "source": f"congruence({composition_str(s)},p={p})",
+        "modulus": p,
+        "target": list(target),
+        "power": [{"coef": str(c), "comp": list(m)} for m, c in sorted(power.items())],
+        "holds": _mod_p_failure(power, target, p) is None,
+    }

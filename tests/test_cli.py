@@ -343,7 +343,7 @@ class TestVerify:
     def test_all_checks_pass(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out
+        assert json.loads(out)["verdict"] == "equal"
 
     def test_bad_subject_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
@@ -368,9 +368,12 @@ class TestVerify:
     ])
     def test_nonzero_defect_fails(self, capsys, monkeypatch, what, defect):
         monkeypatch.setattr(cli.ops, defect, lambda *args: [0, 1])
-        code, out, _ = run(capsys, "verify", what)
+        code, out, _ = run(capsys, "--format", "text", "verify", what)
         assert code == 1
         assert out == f"{what}: FAILED\n"
+        code, out, _ = run(capsys, "verify", what)
+        assert code == 1
+        assert json.loads(out) == {"name": what, "verdict": "unequal"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +382,8 @@ class TestVerify:
     ("relation", "--gen", "doubleshuffle", "--s", "0"),
     ("verify", "spitzer", "--order", "2", "--word", "abc"),
     ("verify", "bohnenblust", "--n", "2", "--word", "0,0"),
+    ("verify", "jackson", "--window", "0"),
+    ("verify", "spitzer", "--window", "-3"),
 ])
 def test_flag_the_branch_does_not_read_is_parsed(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -468,7 +473,7 @@ class TestCorpus:
             assert canonical_json(rel) == t
 
     def test_double_shuffle_pairs_in_scan_order(self):
-        # the bucketed pairs are the all-index-pairs scan's, in its order
+        # the direct pairs are the all-index-pairs scan's, in its order
         for max_weight in range(13):
             for max_depth in range(6):
                 comps = _admissible_compositions(max_weight, max_depth)
