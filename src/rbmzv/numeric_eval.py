@@ -220,15 +220,16 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     sums = {chain: [] for chain in wanted}
     carries = [0.0] * len(nodes)
     # Block lifetime: the previous block's arrays (``level``'s inputs and
-    # ``terms``) are still alive while the next block's are allocated, and
-    # the speed depends on it.  One recursion over the tree in place of
+    # ``terms``) are still alive while ``block_terms`` allocates the next
+    # block's inputs, and the speed depends on it.  One recursion over the tree in place of
     # ``_leaves`` and ``_tree_sum``, which freed each leaf's arrays before
     # the next block was allocated, gave the same bits but ran slower on a
     # shared 2-CPU Xeon: zeta (3,1) at N = 1e6 took 31-38 ms, not 13-19 ms,
     # and mpl (2,2) at z = (1,1), N = 2e6 took 89-120 ms, not 30-41 ms.
     # With glibc's MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ raised
-    # for that process, the two ran equal: freed blocks went back to the
-    # system and were faulted in again.  A rework of the walk keeps this.
+    # for that process the two ran equal, which points at freed blocks going
+    # back to the system and faulting in again.  A rework of the walk keeps
+    # this.
     for lo, hi in _leaves(size, dtype, stop=stop):
         level = block_terms(lo, hi)
         terms = {}
