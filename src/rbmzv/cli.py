@@ -11,7 +11,6 @@ digits.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import random
@@ -20,17 +19,10 @@ from fractions import Fraction
 
 from . import identity_engine, mzv_calculus as mzv, operator_gallery as ops
 from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
+from .corpus import build_corpus
 from .letters import COMPOSITION
-from .mzv_calculus import (
-    Relation,
-    composition_str,
-    is_admissible,
-    parse_composition,
-    weight as comp_weight,
-)
+from .mzv_calculus import Relation, composition_str, is_admissible, parse_composition
 from .tensor_algebra import mixable_shuffle
-
-RESIDUAL_TOL = 1e-4
 
 
 def canonical_json(obj) -> str:
@@ -123,11 +115,26 @@ def cmd_product(args) -> int:
     return 0
 
 
+def _check_prime(p: int):
+    if p not in (2, 3, 5, 7):
+        raise ValueError("p must be a prime in {2, 3, 5, 7}")
+
+
+def _check_range(name: str, value: int, lo: int, hi: int):
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}")
+
+
 def cmd_relation(args) -> int:
-    # parsed for every generator, so a malformed flag is never dropped unseen
+    # parsed and checked for every generator, with the ranges and messages
+    # of the generator that reads it, so a bad flag is never dropped unseen
     a = parse_composition(args.a)
     b = parse_composition(args.b)
     s = parse_composition(args.s)
+    _check_prime(args.p)
+    if args.k < 2:
+        raise ValueError("k must be >= 2")
+    _check_range("order", args.order, 1, 6)
     if args.gen == "doubleshuffle":
         rel = mzv.double_shuffle_relation(a, b)
     elif args.gen == "hoffman":
@@ -151,8 +158,8 @@ def relation_text(rel: Relation) -> str:
 
 
 def cmd_eval(args) -> int:
-    # imported here and in the corpus build, so that the commands that
-    # evaluate nothing start without numpy
+    # imported here and in ``corpus.build_corpus``, so that the commands
+    # that evaluate nothing start without numpy
     from . import numeric_eval
 
     s = parse_composition(args.comp)
@@ -182,11 +189,14 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    # parsed and checked for every check, so a malformed --word or an empty
-    # --window is never dropped unseen
+    # parsed and checked for every check, with the ranges and messages of
+    # the check that reads it, so a bad flag is never dropped unseen
     word = parse_composition(args.word)
     if args.window < 1:
         raise ValueError("window must be >= 1")
+    _check_prime(args.p)
+    _check_range("order", args.order, 1, 8)
+    _check_range("n", args.n, 2, 5)
     if args.what == "spitzer":
         report = identity_engine.spitzer_check(args.order)
     elif args.what == "expstar":
@@ -239,119 +249,14 @@ def _gallery_defects(what, rng, window):
             yield ops.jackson_defect(f, g)
 
 
-def _admissible_compositions(max_weight, max_depth):
-    out = []
-
-    def extend(prefix, remaining):
-        if prefix:
-            out.append(tuple(prefix))
-        if len(prefix) >= max_depth:
-            return
-        lo = 2 if not prefix else 1
-        for part in range(lo, remaining + 1):
-            prefix.append(part)
-            extend(prefix, remaining - part)
-            prefix.pop()
-
-    extend([], max_weight)
-    return sorted(out)
-
-
-def _double_shuffle_pairs(comps, max_weight, max_depth):
-    """The pairs (a, b) of ``comps`` (the sorted admissible compositions
-    within the bounds) with a <= b, wa + wb <= max_weight and
-    da + db <= max_depth, ordered by a, then b."""
-    return [
-        (a, b)
-        for a in comps
-        for b in _admissible_compositions(max_weight - comp_weight(a),
-                                          max_depth - len(a))
-        if a <= b
-    ]
-
-
-def build_corpus(max_weight: int, max_depth: int, cfg):
-    """All golden-corpus entries within the bounds, verified, sorted;
-    ``cfg`` is the ``numeric_eval.EvalConfig`` of the residuals."""
-    from . import numeric_eval
-
-    # (relation, generator, params, weight), in generation order
-    relations = []
-    comps = _admissible_compositions(max_weight, max_depth)
-    for a, b in _double_shuffle_pairs(comps, max_weight, max_depth):
-        relations.append((
-            mzv.double_shuffle_relation(a, b),
-            "doubleshuffle",
-            f"{composition_str(a)}|{composition_str(b)}",
-            comp_weight(a) + comp_weight(b),
-        ))
-    for n in (2, 3):
-        if n > max_depth:
-            continue
-        for s in itertools.combinations_with_replacement(range(2, max_weight + 1), n):
-            if sum(s) > max_weight:
-                continue
-            relations.append((
-                mzv.hoffman_partition_relation(s),
-                "hoffman",
-                ",".join(str(p) for p in s),
-                sum(s),
-            ))
-    for k in range(2, max_weight + 1):
-        for order in range(2, max_depth + 1):
-            if k * order > max_weight:
-                continue
-            relations.append((
-                mzv.spitzer_zeta_relation(k, order),
-                "spitzer",
-                f"k={k},order={order}",
-                k * order,
-            ))
-    values = numeric_eval.zeta_values(
-        dict.fromkeys(c for rel, *_ in relations for c in rel.compositions()),
-        cfg,
-    )
-    entries = []
-
-    def add(weight, generator, params, relation, residual, verified, mode):
-        entries.append({
-            "weight": weight,
-            "generator": generator,
-            "params": params,
-            "relation": relation,
-            "residual": residual,
-            "N": cfg.N,
-            "tolerance": RESIDUAL_TOL,
-            "verified": verified,
-            "mode": mode,
-        })
-
-    for rel, generator, params, w in relations:
-        residual = numeric_eval.eval_relation(rel, values)
-        add(w, generator, params, rel, residual, residual <= RESIDUAL_TOL, "numeric")
-    for s in comps:
-        for p in (2, 3):
-            w = p * comp_weight(s)
-            if w > max_weight:
-                continue
-            cong = mzv.congruence_zeta_relation(s, p)
-            add(w, "congruence", f"{composition_str(s)},p={p}", cong, 0.0,
-                cong["holds"], "exact-mod-p")
-    entries.sort(key=lambda e: (e["weight"], e["generator"], e["params"]))
-    return entries
-
-
 def cmd_corpus(args) -> int:
-    from .numeric_eval import EvalConfig
-
-    cfg = EvalConfig(N=args.N)
     # the least entry is congruence (2),p=2, of weight 4 and depth 1
     if args.max_weight < 4 or args.max_depth < 1:
         raise ValueError("the corpus is empty below --max-weight 4 "
                          "or --max-depth 1")
     # opened first, so an unwritable path fails before the build runs
     with open(args.out, "w", encoding="utf-8") as fh:
-        entries = build_corpus(args.max_weight, args.max_depth, cfg)
+        entries = build_corpus(args.max_weight, args.max_depth)
         for e in entries:
             fh.write(canonical_json(e) + "\n")
     bad = [e for e in entries if not e["verified"]]
@@ -414,7 +319,6 @@ def make_parser() -> argparse.ArgumentParser:
     b = csub.add_parser("build")
     b.add_argument("--max-weight", type=int, default=6)
     b.add_argument("--max-depth", type=int, default=3)
-    b.add_argument("--N", type=int, default=100_000)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_corpus)
 
@@ -433,9 +337,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as e:
-        print(f"error: input too large to compute ({type(e).__name__})",
-              file=sys.stderr)
-        return 2
+        # only the name is kept: printing here could fail for want of
+        # memory, since the traceback still holds the failed computation
+        too_large = type(e).__name__
+    print(f"error: input too large to compute ({too_large})", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,0 +1,128 @@
+"""The golden relation corpus, generated exactly and without numpy
+(``corpus_relations``), then evaluated in one ``zeta_values`` walk and
+written in one nine-key entry schema (``build_corpus``)."""
+
+import itertools
+
+from . import mzv_calculus as mzv
+from .mzv_calculus import Relation, composition_str, weight as comp_weight
+
+RESIDUAL_TOL = 1e-4
+
+
+def _admissible_compositions(max_weight, max_depth):
+    out = []
+
+    def extend(prefix, remaining):
+        if prefix:
+            out.append(tuple(prefix))
+        if len(prefix) >= max_depth:
+            return
+        lo = 2 if not prefix else 1
+        for part in range(lo, remaining + 1):
+            prefix.append(part)
+            extend(prefix, remaining - part)
+            prefix.pop()
+
+    extend([], max_weight)
+    return sorted(out)
+
+
+def _double_shuffle_pairs(comps, max_weight, max_depth):
+    """The pairs (a, b) of ``comps`` (the sorted admissible compositions
+    within the bounds) with a <= b, wa + wb <= max_weight and
+    da + db <= max_depth, ordered by a, then b."""
+    return [
+        (a, b)
+        for a in comps
+        for b in _admissible_compositions(max_weight - comp_weight(a),
+                                          max_depth - len(a))
+        if a <= b
+    ]
+
+
+def corpus_relations(max_weight: int, max_depth: int) -> list:
+    """``(weight, generator, params, relation)`` for every corpus relation
+    within the bounds, sorted by its first three fields, which are unique."""
+    relations = []
+    comps = _admissible_compositions(max_weight, max_depth)
+    for a, b in _double_shuffle_pairs(comps, max_weight, max_depth):
+        relations.append((
+            comp_weight(a) + comp_weight(b),
+            "doubleshuffle",
+            f"{composition_str(a)}|{composition_str(b)}",
+            mzv.double_shuffle_relation(a, b),
+        ))
+    for n in (2, 3):
+        if n > max_depth:
+            continue
+        for s in itertools.combinations_with_replacement(range(2, max_weight + 1), n):
+            if sum(s) > max_weight:
+                continue
+            relations.append((sum(s), "hoffman", ",".join(str(p) for p in s),
+                              mzv.hoffman_partition_relation(s)))
+    for k in range(2, max_weight + 1):
+        for order in range(2, max_depth + 1):
+            if k * order > max_weight:
+                continue
+            relations.append((k * order, "spitzer", f"k={k},order={order}",
+                              mzv.spitzer_zeta_relation(k, order)))
+    for s in comps:
+        for p in (2, 3):
+            w = p * comp_weight(s)
+            if w > max_weight:
+                continue
+            relations.append((w, "congruence", f"{composition_str(s)},p={p}",
+                              mzv.congruence_zeta_relation(s, p)))
+    relations.sort(key=lambda r: r[:3])
+    return relations
+
+
+def eval_relation(r: Relation, values: dict) -> float:
+    """Absolute residual of a relation under numeric evaluation.
+
+    ``values`` is a ``zeta_values`` result holding every composition of
+    ``r``; a monomial's value is the product of its compositions' values.
+    """
+    total = 0.0
+    for m, c in r.terms:
+        value = 1.0
+        for comp in m:
+            value *= values[comp].value
+        total += float(c) * value
+    return abs(total)
+
+
+def build_corpus(max_weight: int, max_depth: int, cfg=None) -> list:
+    """All golden-corpus entries within the bounds, verified, sorted;
+    ``cfg`` is the ``numeric_eval.EvalConfig`` of the residuals, by
+    default ``EvalConfig()``."""
+    # imported here, so that generating the relations loads no numpy
+    from .numeric_eval import EvalConfig, zeta_values
+
+    cfg = cfg or EvalConfig()
+    relations = corpus_relations(max_weight, max_depth)
+    values = zeta_values(
+        dict.fromkeys(c for *_, rel in relations if isinstance(rel, Relation)
+                      for c in rel.compositions()),
+        cfg,
+    )
+    entries = []
+    for weight, generator, params, rel in relations:
+        if isinstance(rel, Relation):
+            residual = eval_relation(rel, values)
+            verified, mode = residual <= RESIDUAL_TOL, "numeric"
+        else:
+            residual, verified, mode = 0.0, rel["holds"], "exact-mod-p"
+        entries.append({
+            "weight": weight,
+            "generator": generator,
+            "params": params,
+            "relation": rel,
+            "residual": residual,
+            "N": cfg.N,
+            "tolerance": RESIDUAL_TOL,
+            "verified": verified,
+            "mode": mode,
+        })
+    return entries

@@ -1,6 +1,6 @@
 """Floating-point evaluation of MZVs, multiple Hurwitz zeta values,
 multiple polylogarithms and q-MZVs by truncated nested sums, plus the
-exact-rational nested-loop oracle and numeric verification of relations.
+exact-rational nested-loop oracle.
 
 The production path uses the O(k*N) prefix-sum recursion: for
 s = (s1,...,sk) and f_j(n) = (x+n)^(-s_j),
@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mzv_calculus import Relation, check_composition, require_admissible
+from .mzv_calculus import check_composition, require_admissible
 
 
 @dataclass
@@ -387,18 +387,3 @@ def nested_sum_oracle(s: tuple, N: int, x: Fraction = Fraction(0)) -> Fraction:
         return total
 
     return rec(0, N + 1)
-
-
-def eval_relation(r: Relation, values: dict) -> float:
-    """Absolute residual of a relation under numeric evaluation.
-
-    ``values`` is a ``zeta_values`` result holding every composition of
-    ``r``; a monomial's value is the product of its compositions' values.
-    """
-    total = 0.0
-    for m, c in r.terms:
-        value = 1.0
-        for comp in m:
-            value *= values[comp].value
-        total += float(c) * value
-    return abs(total)

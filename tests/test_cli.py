@@ -1,15 +1,23 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rbmzv import cli, numeric_eval
-from rbmzv.cli import _admissible_compositions, build_corpus, canonical_json, main
+from rbmzv.cli import canonical_json, main
+from rbmzv.corpus import _admissible_compositions, _double_shuffle_pairs, build_corpus
 from rbmzv.letters import COMPOSITION
 from rbmzv.mzv_calculus import Relation, composition_str
 from rbmzv.numeric_eval import EvalConfig, EvalResult
 from rbmzv.tensor_algebra import mixable_shuffle
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -107,6 +115,25 @@ class TestProduct:
         code, out, err = run(capsys, "product", "--mode", "shuffle", "2", "2")
         assert (code, out) == (2, "")
         assert err == "error: input too large to compute (MemoryError)\n"
+
+    def test_memory_exhaustion_under_an_address_space_limit(self):
+        # a real exhaustion, not a patched one: the child caps its own
+        # address space at 300 MB, which the Sha power of (2,1,3) at p = 7
+        # outgrows within about two seconds
+        pytest.importorskip("resource")
+        code = (
+            "import resource, sys\n"
+            "from rbmzv.cli import main\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, hard))\n"
+            "sys.exit(main(['relation', '--gen', 'congruence', '--s', '2,1,3',"
+            " '--p', '7']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: input too large to compute (MemoryError)\n"
 
     @pytest.mark.parametrize("weight", ["abc", "1/0"])
     def test_malformed_weight(self, capsys, weight):
@@ -384,6 +411,11 @@ class TestVerify:
     ("verify", "bohnenblust", "--n", "2", "--word", "0,0"),
     ("verify", "jackson", "--window", "0"),
     ("verify", "spitzer", "--window", "-3"),
+    ("verify", "jackson", "--p", "4"),
+    ("verify", "zrb", "--order", "-1"),
+    ("verify", "integration", "--n", "-2"),
+    ("relation", "--gen", "hoffman", "--s", "2,3", "--p", "4"),
+    ("relation", "--gen", "doubleshuffle", "--k", "-1", "--order", "99"),
 ])
 def test_flag_the_branch_does_not_read_is_parsed(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -398,7 +430,7 @@ class TestCorpus:
         for path in (out1, out2):
             code, msg, _ = run(
                 capsys, "corpus", "build", "--max-weight", "5",
-                "--max-depth", "2", "--N", "2000", "--out", str(path),
+                "--max-depth", "2", "--out", str(path),
             )
             assert code == 0
             assert "0 failed" in msg
@@ -408,7 +440,7 @@ class TestCorpus:
         path = tmp_path / "c.jsonl"
         code, _, _ = run(
             capsys, "corpus", "build", "--max-weight", "5",
-            "--max-depth", "2", "--N", "2000", "--out", str(path),
+            "--max-depth", "2", "--out", str(path),
         )
         assert code == 0
         entries = [json.loads(line) for line in path.read_text().splitlines()]
@@ -480,7 +512,7 @@ class TestCorpus:
                 scan = [(a, b) for i, a in enumerate(comps) for b in comps[i:]
                         if sum(a) + sum(b) <= max_weight
                         and len(a) + len(b) <= max_depth]
-                assert cli._double_shuffle_pairs(
+                assert _double_shuffle_pairs(
                     comps, max_weight, max_depth) == scan, (max_weight, max_depth)
 
     def test_build_corpus_bytes_pinned_benchmark_range(self):

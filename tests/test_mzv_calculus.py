@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmzv import mzv_calculus
-from rbmzv.cli import _admissible_compositions
+from rbmzv.corpus import _admissible_compositions
 from rbmzv.coefficients import ONE_MINUS_Q
 from rbmzv.tensor_algebra import _add_term, mixable_shuffle
 from rbmzv.mzv_calculus import (

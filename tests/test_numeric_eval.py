@@ -21,13 +21,13 @@ from rbmzv.mzv_calculus import (
 from rbmzv.numeric_eval import (
     EvalConfig,
     EvalResult,
-    eval_relation,
     mpl_num,
     nested_sum_oracle,
     qmzv_num,
     zeta_num,
     zeta_values,
 )
+from rbmzv.corpus import eval_relation
 from rbmzv.numeric_eval import _LEAF, _first_zero, _leaves, _tree_sum, _walk
 
 
