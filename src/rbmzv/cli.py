@@ -3,7 +3,7 @@ numeric evaluation, identity verification and the golden relation corpus.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error
 or an input too large to compute (the run exhausted memory or the
-recursion limit).
+recursion limit, or a float overflowed).
 All output is deterministic; floats are rendered with 17 significant
 digits.
 """
@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import identity_engine, mzv_calculus as mzv, operator_gallery as ops
 from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
 from .corpus import build_corpus
+from .identity_engine import _check_prime, _check_range
 from .letters import COMPOSITION
 from .mzv_calculus import Relation, composition_str, is_admissible, parse_composition
 from .tensor_algebra import mixable_shuffle
@@ -115,16 +116,6 @@ def cmd_product(args) -> int:
     return 0
 
 
-def _check_prime(p: int):
-    if p not in (2, 3, 5, 7):
-        raise ValueError("p must be a prime in {2, 3, 5, 7}")
-
-
-def _check_range(name: str, value: int, lo: int, hi: int):
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must be in {lo}..{hi}")
-
-
 def cmd_relation(args) -> int:
     # parsed and checked for every generator, with the ranges and messages
     # of the generator that reads it, so a bad flag is never dropped unseen
@@ -163,10 +154,13 @@ def cmd_eval(args) -> int:
     from . import numeric_eval
 
     s = parse_composition(args.comp)
-    # both branches check --x, although the q-MZV walk does not read it
-    x = _parse_fraction(args.x, "x")
+    # one config from the flags given, so both branches check every flag
+    given = {name: _parse_fraction(getattr(args, name), name)
+             for name in ("x", "q") if getattr(args, name) is not None}
+    given.update((name, getattr(args, name)) for name in ("N", "K")
+                 if getattr(args, name) is not None)
+    cfg = numeric_eval.EvalConfig(**given)
     if args.q is not None:
-        cfg = numeric_eval.EvalConfig(q=_parse_fraction(args.q, "q"), K=args.K, x=x)
         res = numeric_eval.qmzv_num(s, cfg)
         payload = {
             "comp": composition_str(s),
@@ -175,7 +169,6 @@ def cmd_eval(args) -> int:
             **res.to_json(),
         }
     else:
-        cfg = numeric_eval.EvalConfig(N=args.N, x=x)
         res = numeric_eval.zeta_num(s, cfg)
         payload = {
             "comp": composition_str(s),
@@ -296,10 +289,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="numeric evaluation by truncated sums")
     p.add_argument("--comp", required=True)
-    p.add_argument("--N", type=int, default=100_000)
-    p.add_argument("--x", default="0")
-    p.add_argument("--q", default=None)
-    p.add_argument("--K", type=int, default=400)
+    p.add_argument("--N", type=int)
+    p.add_argument("--x")
+    p.add_argument("--q")
+    p.add_argument("--K", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run an identity check")
@@ -336,7 +329,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (MemoryError, RecursionError) as e:
+    except (MemoryError, OverflowError, RecursionError) as e:
         # only the name is kept: printing here could fail for want of
         # memory, since the traceback still holds the failed computation
         too_large = type(e).__name__

@@ -93,14 +93,14 @@ def eval_relation(r: Relation, values: dict) -> float:
     return abs(total)
 
 
-def build_corpus(max_weight: int, max_depth: int, cfg=None) -> list:
-    """All golden-corpus entries within the bounds, verified, sorted;
-    ``cfg`` is the ``numeric_eval.EvalConfig`` of the residuals, by
-    default ``EvalConfig()``."""
+def build_corpus(max_weight: int, max_depth: int) -> list:
+    """All golden-corpus entries within the bounds, verified, sorted; the
+    residuals are evaluated at ``numeric_eval.EvalConfig()``, whose N each
+    numeric entry records."""
     # imported here, so that generating the relations loads no numpy
     from .numeric_eval import EvalConfig, zeta_values
 
-    cfg = cfg or EvalConfig()
+    cfg = EvalConfig()
     relations = corpus_relations(max_weight, max_depth)
     values = zeta_values(
         dict.fromkeys(c for *_, rel in relations if isinstance(rel, Relation)

@@ -22,6 +22,16 @@ from .tensor_algebra import ShaAlgebra, ShaElement
 _PRIMES = (2, 3, 5, 7, 11)
 
 
+def _check_prime(p: int):
+    if p not in (2, 3, 5, 7):
+        raise ValueError("p must be a prime in {2, 3, 5, 7}")
+
+
+def _check_range(name: str, value: int, lo: int, hi: int):
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}")
+
+
 @dataclass
 class IdentityReport:
     name: str
@@ -53,8 +63,7 @@ def set_partitions(n: int) -> list[list[list[int]]]:
 
     Blocks are listed by minimum element; block contents are increasing.
     """
-    if not 1 <= n <= 8:
-        raise ValueError("n must be in 1..8")
+    _check_range("n", n, 1, 8)
     results = []
 
     def extend(i, blocks):
@@ -124,8 +133,7 @@ def spitzer_check(order: int) -> IdentityReport:
     The series log(1 + a t) has t^i coefficient (-1)^(i-1)/i * a^i; P is
     applied to the series coefficientwise.
     """
-    if not 1 <= order <= 8:
-        raise ValueError("order must be in 1..8")
+    _check_range("order", order, 1, 8)
     alg = ShaAlgebra(MONOMIAL, 1)
     one = alg.one()
     log_coeffs = [alg.zero()]
@@ -141,8 +149,7 @@ def exp_star_log_check(order: int) -> IdentityReport:
 
     log uses the ordinary Sha product, exp the star product.
     """
-    if not 1 <= order <= 8:
-        raise ValueError("order must be in 1..8")
+    _check_range("order", order, 1, 8)
     alg = ShaAlgebra(MONOMIAL, 1)
     one = alg.one()
     xt = [alg.zero(), alg.j(1)] + [alg.zero() for _ in range(order - 1)]
@@ -153,8 +160,7 @@ def exp_star_log_check(order: int) -> IdentityReport:
 
 def bohnenblust_spitzer_check(n: int) -> IdentityReport:
     """Permutation sum of nested P-words vs the signed set-partition sum."""
-    if not 2 <= n <= 5:
-        raise ValueError("n must be in 2..5")
+    _check_range("n", n, 2, 5)
     alg = ShaAlgebra(COMPOSITION, 1)
     letters = _PRIMES[:n]
     lhs = alg.zero()
@@ -186,8 +192,7 @@ def freshman_power(w: tuple, p: int) -> dict:
     not moved again in the same step.  Every coefficient is positive, so
     no term cancels.  The memo is local to the call.
     """
-    if p not in (2, 3, 5, 7):
-        raise ValueError("p must be a prime in {2, 3, 5, 7}")
+    _check_prime(p)
     w = tuple(w)
     if not w:
         raise ValueError("word must be nonempty")

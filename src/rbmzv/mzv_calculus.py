@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .identity_engine import _mod_p_failure, _signed_set_partitions, freshman_power
+from .identity_engine import _check_range, _mod_p_failure, _signed_set_partitions, freshman_power
 from .letters import COMPOSITION, QLETTERS
 from .tensor_algebra import _add_term, mixable_shuffle
 
@@ -253,8 +253,7 @@ def spitzer_zeta_relation(k: int, order: int) -> Relation:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not 1 <= order <= 6:
-        raise ValueError("order must be in 1..6")
+    _check_range("order", order, 1, 6)
     terms: dict = {_mono((k,) * order): 1}
     _add_partition_sum(terms, (k,) * order, Fraction(-1, math.factorial(order)))
     return Relation.from_dict(terms, f"spitzer(k={k},order={order})")

@@ -10,10 +10,12 @@ import pytest
 
 from rbmzv import cli, numeric_eval
 from rbmzv.cli import canonical_json, main
-from rbmzv.corpus import _admissible_compositions, _double_shuffle_pairs, build_corpus
+from rbmzv.corpus import (
+    _admissible_compositions, _double_shuffle_pairs, build_corpus, corpus_relations,
+)
 from rbmzv.letters import COMPOSITION
 from rbmzv.mzv_calculus import Relation, composition_str
-from rbmzv.numeric_eval import EvalConfig, EvalResult
+from rbmzv.numeric_eval import EvalResult
 from rbmzv.tensor_algebra import mixable_shuffle
 
 
@@ -275,9 +277,10 @@ class TestEval:
         assert data["value"] > 0
 
     def test_qmzv_ignores_n(self, capsys):
-        # the q-MZV branch truncates at K, so an N below the zeta branch's
-        # minimum is not an error there
-        code, out, err = run(capsys, "eval", "--comp", "2", "--q", "1/2", "--N", "5")
+        # the q-MZV branch truncates at K, so a valid N leaves its output;
+        # an invalid N is an error in both branches
+        # (test_flag_the_branch_does_not_read_is_parsed)
+        code, out, err = run(capsys, "eval", "--comp", "2", "--q", "1/2", "--N", "20")
         assert (code, err) == (0, "")
         _, ref, _ = run(capsys, "eval", "--comp", "2", "--q", "1/2")
         assert out == ref
@@ -329,6 +332,15 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--comp", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_overflowing_tail_bound_is_usage_error(self, capsys, fmt):
+        # the tail bound's log(N) ** (depth - 1) overflows a float at the
+        # default N from depth 292 on
+        comp = "2" + ",1" * 300
+        code, out, err = run(capsys, "--format", fmt, "eval", "--comp", comp)
+        assert (code, out) == (2, "")
+        assert err == "error: input too large to compute (OverflowError)\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--x", "1e400", "Hurwitz offset x must round to a finite float"),
@@ -416,6 +428,8 @@ class TestVerify:
     ("verify", "integration", "--n", "-2"),
     ("relation", "--gen", "hoffman", "--s", "2,3", "--p", "4"),
     ("relation", "--gen", "doubleshuffle", "--k", "-1", "--order", "99"),
+    ("eval", "--comp", "2", "--K", "0"),
+    ("eval", "--comp", "2", "--q", "1/2", "--N", "5"),
 ])
 def test_flag_the_branch_does_not_read_is_parsed(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -478,25 +492,24 @@ class TestCorpus:
         assert not path.exists()
 
     def test_build_corpus_residuals(self):
-        entries = build_corpus(4, 2, EvalConfig(N=1000))
+        entries = build_corpus(4, 2)
         for e in entries:
             assert e["residual"] <= e["tolerance"]
 
     def test_build_corpus_bytes_pinned(self):
         # the corpus bytes as computed one composition at a time; sharing
         # suffixes across a build must not change a single residual bit
-        entries = build_corpus(8, 4, EvalConfig(N=2000))
+        entries = build_corpus(8, 4)
         text = "".join(canonical_json(e) + "\n" for e in entries)
         assert len(entries) == 79
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e5f54eb36f7bccc97b978c51c5e43d3c18dd6922b9edf7cf9e616055b0080bb6"
+            "a41467eb2fe8a500943666f0d5d50241ae66803bb6d423b9893a53ef7b8b7d1c"
         )
 
     def test_relation_text_is_canonical_json(self):
         # the C encoder writes canonical_json's bytes for float-free data
-        entries = build_corpus(12, 5, EvalConfig(N=2000))
-        relations = [e["relation"] for e in entries
-                     if isinstance(e["relation"], Relation)]
+        relations = [rel for *_, rel in corpus_relations(12, 5)
+                     if isinstance(rel, Relation)]
         assert len(relations) == 1066 - 38  # all but the congruence entries
         for rel in relations:
             t = rel.json_text()
@@ -516,12 +529,13 @@ class TestCorpus:
                     comps, max_weight, max_depth) == scan, (max_weight, max_depth)
 
     def test_build_corpus_bytes_pinned_benchmark_range(self):
-        # weight 12 and depth 5, the top of the benchmark's corpus builds
-        entries = build_corpus(12, 5, EvalConfig(N=2000))
+        # weight 12 and depth 5, the top of the benchmark's corpus builds;
+        # the bytes `rbmzv corpus build --max-weight 12 --max-depth 5` writes
+        entries = build_corpus(12, 5)
         text = "".join(canonical_json(e) + "\n" for e in entries)
         assert len(entries) == 1066
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "f7c40504d6090f7d3578e687840c710644fa9354b6cb772fcd95a462c7494f48"
+            "0363075b4ab36fcbda6ce4e661f47520a5d954088dbb3cd4ba617545dcebca27"
         )
 
 
