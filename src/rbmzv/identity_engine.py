@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .coefficients import series_exp, series_log1p
 from .letters import COMPOSITION, MONOMIAL
-from .tensor_algebra import ShaAlgebra, ShaElement
+from .tensor_algebra import ShaAlgebra, ShaElement, _prepend
 
 _PRIMES = (2, 3, 5, 7, 11)
 
@@ -187,10 +187,11 @@ def freshman_power(w: tuple, p: int) -> dict:
     positions, kept as counts c[i] of copies at position i < n (the others
     are done).  A step advances j[i] <= c[i] copies from each position i,
     at least one in all, with multiplicity prod C(c[i], j[i]); their
-    letters merge into the one letter sum j[i] w[i].  The child state is
-    built from the parent's counts, so a copy moved into position i + 1 is
-    not moved again in the same step.  Every coefficient is positive, so
-    no term cancels.  The memo is local to the call.
+    letters merge into the one letter sum j[i] w[i], put in front of the
+    child state's words by ``_prepend``.  The child state is built from the
+    parent's counts, so a copy moved into position i + 1 is not moved again
+    in the same step.  Every coefficient is positive, so no term cancels.
+    The memo is local to the call.
     """
     _check_prime(p)
     w = tuple(w)
@@ -206,7 +207,6 @@ def freshman_power(w: tuple, p: int) -> dict:
         if hit is not None:
             return hit
         out: dict = {}
-        get = out.get
         for js in itertools.product(*[range(c + 1) for c in counts]):
             if not any(js):
                 continue
@@ -215,10 +215,7 @@ def freshman_power(w: tuple, p: int) -> dict:
                 counts[i] - js[i] + (js[i - 1] if i else 0) for i in range(n)
             )
             head = (sum(map(operator.mul, js, w)),)
-            for t, c in rec(child).items():
-                nw = head + t
-                v = get(nw)
-                out[nw] = mult * c if v is None else v + mult * c
+            _prepend(out, head, rec(child), mult)
         memo[counts] = out
         return out
 

@@ -266,12 +266,19 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
             for chain, parts in sums.items()}
 
 
+def _zeta_tail(s: tuple, N: int) -> float:
+    """The truncation bound of zeta(s) at N; it needs no walk, so a bound
+    that overflows raises ``OverflowError`` before any term is summed."""
+    return 2.0 * math.log(N) ** (len(s) - 1) * N ** (1 - s[0]) / (s[0] - 1)
+
+
 def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
     """``{comp: EvalResult}`` for every composition, by one suffix-trie walk."""
     cfg = cfg or EvalConfig()
     comps = [tuple(s) for s in comps]
     for s in comps:
         require_admissible(s)
+    tails = {s: _zeta_tail(s, cfg.N) for s in comps}
     x = float(cfg.x)
 
     def block_terms(lo, hi):
@@ -279,14 +286,7 @@ def zeta_values(comps, cfg: EvalConfig | None = None) -> dict:
         return lambda sj: n ** float(-sj)
 
     values = _walk(comps, cfg.N, np.float64, block_terms)
-    log_n = math.log(cfg.N)
-    return {
-        s: EvalResult(
-            value=values[s],
-            tail_bound=2.0 * log_n ** (len(s) - 1) * cfg.N ** (1 - s[0]) / (s[0] - 1),
-        )
-        for s in comps
-    }
+    return {s: EvalResult(value=values[s], tail_bound=tails[s]) for s in comps}
 
 
 def zeta_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
@@ -318,6 +318,9 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
                          "or z1 = 1 with s1 >= 2")
     if any(abs(w) > 1 for w in z[1:]):
         raise ValueError("inner letters need |z| <= 1")
+    r = abs(z[0])
+    # z1 = 1 comes with s1 >= 2, where zeta's bound holds
+    tail = r ** cfg.N / (1 - r) * cfg.N ** (-s[0]) if r < 1 else _zeta_tail(s, cfg.N)
     x = float(cfg.x)
     zero_from = {w: _first_zero(-math.log2(abs(w)) if w else math.inf, cfg.N)
                  for w in set(z)}
@@ -336,11 +339,6 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     chain = tuple(zip(s, z))  # one key (s_j, z_j) per depth
     total = _walk((chain,), cfg.N, np.complex128, block_terms, zero_from[z[0]])[chain]
     value = total.real if all(w.imag == 0 for w in z) else abs(total)
-    r = abs(z[0])
-    if r < 1:
-        tail = abs(z[0]) ** cfg.N / (1 - r) * cfg.N ** (-s[0])
-    else:
-        tail = 2.0 * math.log(cfg.N) ** (len(s) - 1) * cfg.N ** (1 - s[0]) / max(s[0] - 1, 1)
     return EvalResult(value=value, tail_bound=tail)
 
 

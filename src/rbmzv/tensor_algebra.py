@@ -18,11 +18,14 @@ letters by a word b of at least 2 does not run ``_msh`` on the whole pair:
 it cuts a in the middle and joins the two halves' products, both from
 ``_msh`` with one memo, so that it builds about one word tuple per
 output word rather than one per word of every subproblem (measured in its
-docstring; below that size the join gains little or loses).
+docstring; below that size the join gains little or loses); its prefix
+side is one step of the same recursion on reversed words.
 ``ShaElement.__mul__`` calls ``_msh`` directly, since its tails are short
 and share one memo.  The p-th power of one pure tensor over composition
 letters, behind the Freshman's-Dream congruence, is
-``identity_engine.freshman_power``.
+``identity_engine.freshman_power``.  ``_msh``, the join and
+``freshman_power`` build their terms through ``_prepend``, which holds the
+join's unit rule and drops zeros as it adds.
 """
 
 from __future__ import annotations
@@ -45,6 +48,25 @@ def _add_term(out: dict, w, c):
             del out[w]
 
 
+def _prepend(out: dict, head: Word, combo: LinComb, coef=1):
+    """Add coef * (head + w) into ``out`` for every term c * w of ``combo``,
+    deleting a word whose coefficient sums to zero.  An int ``coef`` of 1
+    multiplies nothing, since ``1 * PolyQ`` is slow."""
+    unit = type(coef) is int and coef == 1
+    get = out.get
+    for w, c in combo.items():
+        nw = head + w
+        if not unit:
+            c = coef * c
+        v = get(nw)
+        if v is not None:
+            c = v + c
+            if not c:
+                del out[nw]
+                continue
+        out[nw] = c
+
+
 def _unit_product(system: LetterSystem, x, y):
     """Letter product in the unitarization k + A (None is the unit)."""
     if x is None:
@@ -63,11 +85,13 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
     sum over j = 0..len(b) of prefix * suffix, where the prefixes are the
     words of a[:c] ш b[:j] whose last letter uses a[c-1], and the suffixes
     are the words of a[c:] ш b[j:].  Both sides come from ``_msh`` with
-    one memo: the prefixes from the reversed words, so that their
-    subproblems are suffix pairs too, each word reversed once.  The join
-    builds about one tuple per output word, where the plain recursion builds
-    one per word of every memoized subproblem: a 7x7 stuffle on the
-    benchmark's parts makes about 50,000 tuples instead of about 115,000.
+    one memo: the prefixes reversed, as one step of the recursion on the
+    reversed words, so that their subproblems are suffix pairs too, each
+    prefix reversed once (``_prepend``'s unit rule spares the q-stuffle
+    its products by 1).  The join builds about one tuple per output word,
+    where the plain recursion builds one per word of every memoized
+    subproblem: a 7x7 stuffle on the benchmark's parts makes about 50,000
+    tuples instead of about 115,000.
 
     The join runs when a has at least 4 letters and b at least 2.  Measured
     as plain / join time of the stuffle and the q-stuffle of
@@ -88,28 +112,16 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
     rb = b[::-1]  # rb[n - j:] is b[:j] reversed
     memo: dict = {}
     out: dict = {}
-    get = out.get
     for j in range(n + 1):
-        # the prefixes ending in a[c-1] alone, then in a[c-1] merged with b[j-1]
-        pre = {w[::-1] + (last,): cw
-               for w, cw in _msh(system, head, rb[n - j:], weight, memo).items()}
+        pre: dict = {}  # the prefixes, reversed
+        _prepend(pre, (last,), _msh(system, head, rb[n - j:], weight, memo))
         if weight and j:
             sub = _msh(system, head, rb[n - j + 1:], weight, memo)
             for pc, p in _unit_product(system, last, b[j - 1]):
-                coef = weight * pc
-                for w, cw in sub.items():
-                    _add_term(pre, w[::-1] + (p,), coef * cw)
+                _prepend(pre, (p,), sub, weight * pc)
         suf = _msh(system, tail, b[j:], weight, memo)
         for pw, cp in pre.items():
-            # an int 1 leaves cs as it is: no product, which for a PolyQ is slow
-            unit = type(cp) is int and cp == 1
-            for sw, cs in suf.items():
-                nw = pw + sw
-                v = get(nw)
-                t = cs if unit else cp * cs
-                out[nw] = t if v is None else v + t
-    for nw in [w for w, v in out.items() if not v]:
-        del out[nw]
+            _prepend(out, pw[::-1], suf, cp)
     return out
 
 
@@ -124,29 +136,16 @@ def _msh(system, a, b, lam, memo):
     if hit is not None:
         return hit
     out: dict = {}
-    get = out.get
     a0, arest = a[0], a[1:]
     b0, brest = b[0], b[1:]
-    for w, c in _msh(system, arest, b, lam, memo).items():
-        nw = (a0,) + w
-        v = get(nw)
-        out[nw] = c if v is None else v + c
-    for w, c in _msh(system, a, brest, lam, memo).items():
-        nw = (b0,) + w
-        v = get(nw)
-        out[nw] = c if v is None else v + c
+    _prepend(out, (a0,), _msh(system, arest, b, lam, memo))
+    _prepend(out, (b0,), _msh(system, a, brest, lam, memo))
     if lam:
         merged = _unit_product(system, a0, b0)
         if merged:
             tail = _msh(system, arest, brest, lam, memo)
             for pc, p in merged:
-                coef = lam * pc
-                for w, c in tail.items():
-                    nw = (p,) + w
-                    v = get(nw)
-                    out[nw] = coef * c if v is None else v + coef * c
-    for nw in [w for w, v in out.items() if not v]:
-        del out[nw]
+                _prepend(out, (p,), tail, lam * pc)
     memo[key] = out
     return out
 

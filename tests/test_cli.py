@@ -342,6 +342,21 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: input too large to compute (OverflowError)\n"
 
+    def test_overflowing_tail_bound_is_refused_before_the_walk(self, capsys, monkeypatch):
+        # the bound needs only s and N, so no term is summed first
+        def walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(numeric_eval, "_walk", walk)
+        comp = "2" + ",1" * 300
+        for fmt in ("json", "text"):
+            for n in ((), ("--N", "1000000")):
+                code, out, err = run(capsys, "--format", fmt, "eval", "--comp", comp, *n)
+                assert (code, out) == (2, "")
+                assert err == "error: input too large to compute (OverflowError)\n"
+        with pytest.raises(OverflowError):
+            numeric_eval.mpl_num((2,) + (1,) * 300, (1,) * 301)
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--x", "1e400", "Hurwitz offset x must round to a finite float"),
         ("--q", "1e-400", "q must round to a float in (0, 1)"),

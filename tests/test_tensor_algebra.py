@@ -7,7 +7,7 @@ import pytest
 
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
 from rbmzv.letters import COMPOSITION, QLETTERS, LetterSystem
-from rbmzv.tensor_algebra import ShaAlgebra, mixable_shuffle, render_word
+from rbmzv.tensor_algebra import ShaAlgebra, _prepend, mixable_shuffle, render_word
 
 from conftest import WORD, X0, X1, random_sha_element
 
@@ -293,6 +293,27 @@ class TestShaAlgebra:
         with pytest.raises(ValueError):
             sha_weight1.j(2) * other.j(2)
 
+    # Fraction(-1) is the CLI's -1: two merges give Fraction(1), not int 1
+    @pytest.mark.parametrize("weight", [ONE_MINUS_Q, -1, Fraction(-1), 1],
+                             ids=["1-q", "-1", "-1-fraction", "1"])
+    def test_q_letter_sums_match_direct(self, weight):
+        # every pair shares the product's one memo, and the merged q-letters
+        # of different pairs collide, so their terms add
+        words = [w for n in (1, 2, 3) for w in itertools.product((1, 2), repeat=n)]
+        alg = ShaAlgebra(QLETTERS, weight)
+        x = alg.element({(None, a): 1 for a in words})
+        y = alg.element({(None, b): 1 for b in words[::-1]})
+        expect = {}
+        for a in words:
+            for b in words[::-1]:
+                for w, c in mixable_shuffle_direct(QLETTERS, a, b, weight).items():
+                    expect[None, w] = expect.get((None, w), 0) + c
+        expect = {k: c for k, c in expect.items() if c}
+        got = (x * y).terms
+        assert got == expect
+        assert {k: type(c) for k, c in got.items()} == \
+            {k: type(c) for k, c in expect.items()}
+
     def test_commutative_associative_random(self, rng):
         alg = ShaAlgebra(COMPOSITION, 1)
         for _ in range(20):
@@ -305,6 +326,25 @@ class TestShaAlgebra:
 
 def alg_zero_p(alg):
     return alg.p(alg.zero())
+
+
+class TestPrepend:
+    # no product of words over the library's letter systems cancels a term,
+    # since a word fixes its number of merges and its (1-q) power, so the
+    # zero rule is checked here on the helper itself
+    def test_adds_scaled_words_and_drops_zeros(self):
+        out = {(1, 2): 3, (5,): 1}
+        _prepend(out, (1,), {(2,): -3, (): 2, (3,): 1})
+        assert out == {(5,): 1, (1,): 2, (1, 3): 1}
+        _prepend(out, (1,), {(): 1, (3,): 2}, Fraction(-2))
+        assert out == {(5,): 1, (1, 3): -3}
+
+    def test_only_an_int_one_multiplies_nothing(self):
+        out = {}
+        _prepend(out, (), {(1,): ONE_MINUS_Q})
+        assert out[1,] is ONE_MINUS_Q
+        _prepend(out, (), {(2,): 3}, Fraction(1))
+        assert type(out[2,]) is Fraction
 
 
 class TestRendering:
