@@ -33,10 +33,13 @@ or ``cpow``, which return an exact zero there anyway, and a power of a
 letter equal to 1 (or q^0) is written as an exact 1.  From the first
 index where the outermost power is zero, every outer summand is that zero
 times finite factors in (0, 1] and prefix sums, so ``_walk`` leaves out
-each leaf that starts there: ``mpl_num`` with |z1| < 1 and ``qmzv_num``
-cost O(cutoff / _LEAF + log N) blocks whatever N or K is.  Nonzero values
-are unchanged bit for bit, since adding a zero leaves a nonzero sum
-unchanged.  A zero value keeps its sign too for q-MZVs, whose zeros are
+each subtree of numpy's tree that starts there, and cuts the leaf that
+holds the cutoff along that tree down to one run of numpy's unrolled
+kernel (``_KERNEL``).  So ``mpl_num`` with |z1| < 1 and ``qmzv_num``
+compute their live summands plus less than one kernel run, in at most
+about log2(_LEAF / _KERNEL) extra blocks, whatever N or K is.  Nonzero
+values are unchanged bit for bit, since adding a zero leaves a nonzero
+sum unchanged.  A zero value keeps its sign too for q-MZVs, whose zeros are
 all +0, and does not show it for complex polylogs, which report ``abs``;
 for a real polylog whose summands are all zeros the sign bit rests on
 the bitwise tests, which compare it.
@@ -115,13 +118,27 @@ def _split(n: int, dtype) -> int:
     return h - h % 8
 
 
+#: float64 components numpy's pairwise sum adds in one unrolled loop, its
+#: PW_BLOCKSIZE: 128 float64 or 64 complex128 elements.  numpy never splits
+#: a run this short, so neither may the walk.
+_KERNEL = 128
+
+
+def _is_leaf(lo: int, n: int, dtype, stop: float) -> bool:
+    """Whether the walk sums the run ``[lo, lo + n)`` as one block: it is at
+    most ``_LEAF`` long and either ends by ``stop`` or fits numpy's unrolled
+    kernel, so a leaf holding the cutoff is split down to one kernel run."""
+    components = 2 * n if dtype == np.complex128 else n
+    return n <= _LEAF and (lo + n <= stop or components <= _KERNEL)
+
+
 def _leaves(n: int, dtype, lo: int = 0, stop: float = math.inf) -> list:
-    """The ``[lo, hi)`` runs, in order, that numpy's pairwise sum over n
-    elements reaches once a run is at most ``_LEAF`` long, leaving out every
-    subtree that starts at or after ``stop``."""
+    """The ``[lo, hi)`` runs, in order, at which ``_is_leaf`` stops cutting
+    numpy's pairwise-sum tree over n elements, leaving out every subtree
+    that starts at or after ``stop``."""
     if lo >= stop:
         return []
-    if n <= _LEAF:
+    if _is_leaf(lo, n, dtype, stop):
         return [(lo, lo + n)]
     h = _split(n, dtype)
     return _leaves(h, dtype, lo, stop) + _leaves(n - h, dtype, lo + h, stop)
@@ -129,15 +146,16 @@ def _leaves(n: int, dtype, lo: int = 0, stop: float = math.inf) -> list:
 
 def _tree_sum(sums: list, n: int, dtype, stop: float = math.inf):
     """Add the leaves' sums back along the tree ``_leaves`` cut them from;
-    this is ``terms.sum()`` of the whole array, bit for bit.  A subtree
-    ``_leaves`` left out counts as one +0."""
+    this is ``terms.sum()`` of the whole array, bit for bit, since both
+    stop cutting where ``_is_leaf`` says.  A subtree ``_leaves`` left out
+    counts as one +0."""
     sums = iter(sums)
     zero = np.dtype(dtype).type(0)
 
     def node(lo, n):
         if lo >= stop:
             return zero
-        if n <= _LEAF:
+        if _is_leaf(lo, n, dtype, stop):
             return next(sums)
         h = _split(n, dtype)
         return node(lo, h) + node(lo + h, n - h)
@@ -194,12 +212,13 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     last child has read it.
 
     Cutoff: the caller may pass ``stop`` when every outermost summand from
-    index ``stop`` on is an exact zero.  Leaves that start at or after it
-    are not visited, and each subtree of them counts as one +0 in the
-    sums, so the walk costs O(stop / _LEAF + tree depth) blocks, not
-    O(size / _LEAF).  A nonzero value stays bit-identical, as adding a
-    zero leaves a nonzero sum unchanged; a value whose summands are all
-    zeros stays a zero, and +0 if they all are.
+    index ``stop`` on is an exact zero.  Subtrees that start at or after it
+    are not visited and each counts as one +0 in the sums, and the leaf
+    that holds it is cut down to one kernel run (``_is_leaf``), so the
+    blocks cover the live summands and less than one kernel run past them.
+    A nonzero value stays bit-identical, as adding a zero leaves a nonzero
+    sum unchanged; a value whose summands are all zeros stays a zero, and
+    +0 if they all are.
     """
     trie: dict = {}
     for chain in chains:

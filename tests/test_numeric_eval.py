@@ -27,8 +27,9 @@ from rbmzv.numeric_eval import (
     zeta_num,
     zeta_values,
 )
+from rbmzv import numeric_eval
 from rbmzv.corpus import eval_relation
-from rbmzv.numeric_eval import _LEAF, _first_zero, _leaves, _tree_sum, _walk
+from rbmzv.numeric_eval import _KERNEL, _LEAF, _first_zero, _leaves, _tree_sum, _walk
 
 
 class TestEvalConfig:
@@ -402,6 +403,61 @@ class TestCutoff:
         cfg = EvalConfig(K=K, q=q)
         assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
 
+    # the benchmark's deepest strata, cut in the first leaf's kernel runs
+    @pytest.mark.parametrize("z1", [0.3, 0.9, cmath.rect(0.9, 1.0)], ids=str)
+    def test_mpl_bitwise_benchmark_scale(self, z1):
+        cfg = EvalConfig(N=10**6)
+        s, z = (1, 1, 1, 1), (z1, 1, 1, 1)
+        assert _same_bits(mpl_num(s, z, cfg).value, mpl_reference(s, z, cfg))
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 4)], ids=str)
+    def test_qmzv_bitwise_benchmark_scale(self, q):
+        cfg = EvalConfig(K=10**6, q=q)
+        s = (2, 1, 1, 1)
+        assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
+
+
+def _handed_over(monkeypatch, run):
+    """(elements ``_walk`` hands to ``block_terms``, its ``stop``) in ``run()``."""
+    sizes, stops = [], []
+    walk = numeric_eval._walk
+
+    def counting(chains, size, dtype, block_terms, stop=math.inf):
+        def counted(lo, hi):
+            sizes.append(hi - lo)
+            return block_terms(lo, hi)
+
+        stops.append(stop)
+        return walk(chains, size, dtype, counted, stop)
+
+    monkeypatch.setattr(numeric_eval, "_walk", counting)
+    run()
+    (stop,) = stops
+    return sum(sizes), stop
+
+
+class TestCutoffCost:
+    """A walk that stops early computes its live summands and less than one
+    kernel run past them, not the whole first leaf."""
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: mpl_num((1, 1, 1), (0.6, 1, 1), EvalConfig(N=10**6)), id="mpl"),
+        pytest.param(lambda: qmzv_num((2, 1), EvalConfig(K=10**6, q=Fraction(1, 2))),
+                     id="qmzv-1/2"),
+        pytest.param(lambda: qmzv_num((2, 1), EvalConfig(K=10**6, q=Fraction(3, 4))),
+                     id="qmzv-3/4"),
+    ])
+    def test_stopping_walk_pays_for_live_summands(self, monkeypatch, run):
+        elements, stop = _handed_over(monkeypatch, run)
+        assert stop < _LEAF
+        # past ``stop``, less than one run of numpy's unrolled kernel
+        assert stop <= elements < stop + 128
+
+    def test_walk_without_cutoff_covers_all(self, monkeypatch):
+        N = 10**6
+        elements, stop = _handed_over(monkeypatch, lambda: zeta_num((3, 1), EvalConfig(N=N)))
+        assert (elements, stop) == (N, math.inf)
+
 
 class TestPowerPremise:
     """The cutoff is bit-identical only while this platform's numpy and
@@ -484,6 +540,35 @@ class TestBlockWalk:
             "tree that numeric_eval._split describes; the block walk's values "
             "would stop matching whole-array sums")
 
+    @given(st.integers(1, 8), st.integers(-24, 24),
+           st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1),
+           st.integers(0, 1 << 16), st.sampled_from([None, "lo", "hi"]), st.integers(-1, 1),
+           st.sampled_from([16, 128, 1024, None]))
+    @example(2, 7, np.float64, 1, 50000, None, 0, 128)
+    @example(2, 7, np.complex128, 1, 30000, None, 0, 128)
+    @settings(max_examples=80, deadline=None)
+    def test_cut_leaf_sums_rebuild_numpy_sum(self, leaves, offset, dtype, seed,
+                                             where, edge, nudge, window):
+        # ``stop`` anywhere, or on an edge of the kernel run that holds that
+        # point, or one element either side of the edge
+        n = max(1, leaves * _LEAF + offset)
+        stop = where * n >> 16
+        if edge and stop:
+            lo, hi = _leaves(n, np.dtype(dtype), stop=stop)[-1]
+            stop = min(n, max(0, (lo if edge == "lo" else hi) + nudge))
+        a = _wide_random(np.random.default_rng(seed), n, dtype)
+        a[stop:] = 0
+        # terms only in a window before ``stop`` (if one is drawn), so that
+        # the order of additions in the runs next to it shows in the total
+        a[:max(0, stop - (window or stop))] = 0
+        blocks = _leaves(n, a.dtype, stop=stop)
+        got = _tree_sum([a[lo:hi].sum() for lo, hi in blocks], n, a.dtype, stop)
+        assert got.tobytes() == a.sum().tobytes(), (
+            f"numpy {np.__version__} no longer sums {a.dtype} along the pairwise "
+            f"tree that numeric_eval._split describes, in unrolled runs of "
+            f"{_KERNEL} float64 components; the walks that stop early would "
+            "stop matching whole-array sums")
+
     @given(st.integers(1, 4), st.integers(-24, 24),
            st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -515,11 +600,15 @@ class TestBlockWalk:
         visited = []
 
         def block_terms(lo, hi):
-            visited.append(lo)
+            visited.append((lo, hi))
             return lambda key: terms[key][lo:hi].copy()
 
         got = _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop)
-        assert visited == [lo for lo, _ in leaves if lo < stop]
+        assert visited == _leaves(n, np.dtype(dtype), stop=stop)
+        # the leaf holding ``stop`` is cut down to one run of numpy's unrolled
+        # kernel: 128 float64 components
+        kernel = 128 * 8 // np.dtype(dtype).itemsize
+        assert not visited or visited[-1][1] <= stop + kernel
         for chain in WALK_CHAINS:
             want = _whole_array_sum(terms, chain)
             assert got[chain] == want, chain
