@@ -13,13 +13,20 @@ integer gcd.  ``poly_gcd`` is the primitive polynomial remainder sequence
 over Z (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971), made monic
 once at the end.  Rational functions are kept in canonical form (coprime,
 monic denominator) so equality is a tuple comparison; they add, negate
-and multiply, but neither subtract nor divide.  A truncated power series
-is a plain list of its coefficients, of order len - 1; ``series_exp`` and
-``series_log1p`` work over any coefficient module whose elements support
-``+``, ``*`` and left-multiplication by a Fraction (``series_exp`` also
-takes another product, such as the star product, as a ``mul`` callable),
-and run by first-order recurrences (Knuth, TAOCP Vol. 2, 4.7), which need
-a commutative, associative product.
+and multiply, but neither subtract nor divide.  The constructor reduces
+its input by one gcd of the whole numerator and denominator; a sum or
+product of two canonical operands instead takes Henrici's gcds of their
+parts (JACM 3, 1956; Knuth, TAOCP Vol. 2, 4.5.1), which are smaller and
+for coprime denominators end the work, and a constant or zero operand
+takes none.  The canonical form is unique, so both give the same result.
+
+A truncated power series is a plain list of its coefficients, of order
+len - 1; ``series_exp`` and ``series_log1p`` work over any coefficient
+module whose elements support ``+``, ``*`` and left-multiplication by a
+Fraction (``series_exp`` also takes another product, such as the star
+product, as a ``mul`` callable), and run by first-order recurrences
+(Knuth, TAOCP Vol. 2, 4.7), which need a commutative, associative
+product.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ def _convolve(a, b) -> list:
     out = []
     for k in range(len(a) + len(b) - 1):
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-        # the slot starts at its first product, not at zero: adding
-        # onto zero costs a gcd for rational-function coefficients
+        # the slot starts at its first product, not at zero: that saves
+        # one addition per slot (adding onto a zero RatFuncQ returns the
+        # other operand and takes no gcd)
         s = a[lo] * b[k - lo]
         for i in range(lo + 1, hi + 1):
             s = s + a[i] * b[k - i]
@@ -331,6 +339,29 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return PolyQ._make(Fraction(1, u[-1]), u)
 
 
+def _exact_quo(p: PolyQ, g: PolyQ) -> PolyQ:
+    """p over the primitive part of g, for g dividing p: by Gauss's lemma
+    that part divides p's over Z, so the pseudo-division is exact."""
+    if len(g.prim) == 1:
+        return p
+    return PolyQ._make(p.content, tuple(_pseudo_divmod(p.prim, g.prim)[1]))
+
+
+def _gcd(a: PolyQ, b: PolyQ) -> PolyQ:
+    """gcd(a, b) for nonzero a and b; a constant is coprime to anything,
+    so it runs no ``poly_gcd``."""
+    if len(a.prim) == 1 or len(b.prim) == 1:
+        return _ONE
+    return poly_gcd(a, b)
+
+
+def _monic(num: PolyQ, den: PolyQ) -> tuple:
+    """(num, den) rescaled so that den is monic."""
+    lc = den.prim[-1]
+    return (PolyQ._make(num.content / (den.content * lc), num.prim),
+            PolyQ._make(Fraction(1, lc), den.prim))
+
+
 class RatFuncQ:
     """Rational function in q, canonical form: coprime, monic denominator."""
 
@@ -346,18 +377,18 @@ class RatFuncQ:
         if not num:
             den = _ONE
         else:
-            # num/den = (num.content/den.content) * pn/pd; the primitive
-            # parts divide exactly over Z by the gcd's primitive part
-            pn, pd = num.prim, den.prim
-            g = poly_gcd(num, den).prim
-            if len(g) > 1:
-                pn = tuple(_pseudo_divmod(pn, g)[1])
-                pd = tuple(_pseudo_divmod(pd, g)[1])
-            lc = pd[-1]
-            num = PolyQ._make(num.content / (den.content * lc), pn)
-            den = PolyQ._make(Fraction(1, lc), pd)
+            g = poly_gcd(num, den)
+            num, den = _monic(_exact_quo(num, g), _exact_quo(den, g))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, num: PolyQ, den: PolyQ) -> "RatFuncQ":
+        # trusts its arguments to be in canonical form
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("RatFuncQ is immutable")
@@ -368,33 +399,58 @@ class RatFuncQ:
     def _coerce(self, other):
         if isinstance(other, RatFuncQ):
             return other
-        if isinstance(other, (int, Fraction, PolyQ)):
-            return RatFuncQ(other if isinstance(other, PolyQ) else PolyQ((other,)))
+        if isinstance(other, (int, Fraction)):
+            other = PolyQ((other,))
+        if isinstance(other, PolyQ):
+            # a polynomial over 1 is already in canonical form
+            return RatFuncQ._make(other, _ONE)
         return None
 
     def __bool__(self):
         return bool(self.num)
 
     def __add__(self, other):
+        # Henrici: with g = gcd(b, d) and t = a(d/g) + c(b/g), a/b + c/d
+        # is t/g2 over (b/g)(d/g2) in lowest terms, where g2 = gcd(t, g)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFuncQ(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = _gcd(b, d)
+        bg = _exact_quo(b, g)
+        t = a * _exact_quo(d, g) + c * bg
+        if not t:
+            return RatFuncQ._make(t, _ONE)
+        if len(g.prim) > 1:
+            g = _gcd(t, g)
+            t, d = _exact_quo(t, g), _exact_quo(d, g)
+        return RatFuncQ._make(*_monic(t, bg * d))
 
     __radd__ = __add__
 
     def __neg__(self):
         # negation keeps the canonical form, so skip the constructor's gcd
-        out = object.__new__(RatFuncQ)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return RatFuncQ._make(-self.num, self.den)
 
     def __mul__(self, other):
+        # Henrici: (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) for
+        # g1 = gcd(a, d) and g2 = gcd(c, b), already in lowest terms
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFuncQ(self.num * o.num, self.den * o.den)
+        if not self.num:
+            return self
+        if not o.num:
+            return o
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g1, g2 = _gcd(a, d), _gcd(c, b)
+        return RatFuncQ._make(*_monic(
+            _exact_quo(a, g1) * _exact_quo(c, g2),
+            _exact_quo(b, g2) * _exact_quo(d, g1)))
 
     __rmul__ = __mul__
 

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 
+from .coefficients import PolyQ
 from .identity_engine import _check_range, _mod_p_failure, _signed_set_partitions, freshman_power
-from .letters import COMPOSITION, QLETTERS
+from .letters import COMPOSITION, QLETTERS, LetterSystem
 from .tensor_algebra import _add_term, mixable_shuffle
 
 Composition = tuple
@@ -90,11 +91,44 @@ def stuffle(a: Composition, b: Composition) -> ZetaCombo:
     return mixable_shuffle(COMPOSITION, a, b, 1)
 
 
+def _count_paths(x, y):
+    """The q-letter product with every coefficient 1."""
+    return [(1, p) for _, p in QLETTERS.product(x, y)]
+
+
+#: the q-letters whose products count paths, for ``q_stuffle``
+_Q_PATHS = LetterSystem("q paths", _count_paths, QLETTERS.fmt)
+
+
 def q_stuffle(a: Composition, b: Composition) -> ZetaCombo:
-    """Stuffle over q-letters; coefficients are polynomials in q."""
+    """Stuffle over q-letters; coefficients are polynomials in q.
+
+    The q-letter product is q_s q_t = q_{s+t} + (1-q) q_{s+t-1} (Bradley,
+    Multiple q-zeta values, J. Algebra 283, 2005).  Each (1-q) branch
+    lowers the weight by exactly 1, so every path to an output word w
+    carries (1-q)^e with e = wt(a) + wt(b) - wt(w), and w's coefficient is
+    its number of paths times that power.  So the kernel counts the paths
+    in ints, over the same letters with every coefficient 1, and each word
+    then gets its power once: an int where e = 0, and otherwise one
+    ``PolyQ`` per distinct (e, count), which the words that have it share.
+    No count is zero, so no word is deleted and re-added: the keys, their
+    order and the coefficients are those of
+    ``mixable_shuffle(QLETTERS, a, b, 1)``.
+    """
     check_composition(a)
     check_composition(b)
-    return mixable_shuffle(QLETTERS, a, b, 1)
+    wt = sum(a) + sum(b)
+    coeffs: dict = {}  # (e, count) -> count * (1-q)^e
+    out = mixable_shuffle(_Q_PATHS, a, b, 1)
+    for w, n in out.items():
+        e = wt - sum(w)
+        if e:
+            c = coeffs.get((e, n))
+            if c is None:
+                c = coeffs[e, n] = PolyQ(
+                    [(-1) ** k * n * math.comb(e, k) for k in range(e + 1)])
+            out[w] = c
+    return out
 
 
 def shuffle_zeta(a: Composition, b: Composition) -> ZetaCombo:

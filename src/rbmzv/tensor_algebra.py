@@ -87,11 +87,11 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
     are the words of a[c:] ш b[j:].  Both sides come from ``_msh`` with
     one memo: the prefixes reversed, as one step of the recursion on the
     reversed words, so that their subproblems are suffix pairs too, each
-    prefix reversed once (``_prepend``'s unit rule spares the q-stuffle
-    its products by 1).  The join builds about one tuple per output word,
-    where the plain recursion builds one per word of every memoized
-    subproblem: a 7x7 stuffle on the benchmark's parts makes about 50,000
-    tuples instead of about 115,000.
+    prefix reversed once (``_prepend``'s unit rule spares ``PolyQ``
+    coefficients, as at weight 1 - q, their products by 1).  The join
+    builds about one tuple per output word, where the plain recursion
+    builds one per word of every memoized subproblem: a 7x7 stuffle on the
+    benchmark's parts makes about 50,000 tuples instead of about 115,000.
 
     The join runs when a has at least 4 letters and b at least 2.  Measured
     as plain / join time of the stuffle and the q-stuffle of

@@ -227,6 +227,106 @@ class TestRatFuncQ:
             assert r.num.evaluate(q) / r.den.evaluate(q) == value
 
 
+def one_minus_q_to(m, sign=1):
+    """1 - q^m, the factor the Jackson operators put in denominators, or
+    1 + q^m for sign -1."""
+    return PolyQ([1] + [0] * (m - 1) + [-sign])
+
+
+@st.composite
+def gallery_fractions(draw):
+    """(num, den), unreduced: den a rational times a product of 1 - q^m
+    and 1 + q^m factors, possibly none, and num a polynomial with a
+    rational content, sometimes times such factors too, so that two
+    operands' denominators share factors, or none, and a numerator may
+    share one with either denominator."""
+    def factors(max_size):
+        p = PolyQ([draw(rationals.filter(bool))])
+        for m, sign in draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, -1))),
+                                     max_size=max_size)):
+            p = p * one_minus_q_to(m, sign)
+        return p
+    return draw(nonzero_polys) * factors(2), factors(3)
+
+
+class TestHenrici:
+    """Sums and products of canonical operands equal the constructor on
+    the unreduced numerator and denominator, in every branch: coprime and
+    common denominators, a common factor left in the sum, unit
+    denominators, zero operands and zero sums."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for part in ("num", "den"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert (g.content, g.prim) == (w.content, w.prim), part
+        assert repr(got) == repr(want)
+
+    def check(self, x, y):
+        a, b, c, d = x.num, x.den, y.num, y.den
+        self.assert_same(x + y, RatFuncQ(a * d + c * b, b * d))
+        self.assert_same(x * y, RatFuncQ(a * c, b * d))
+
+    @given(gallery_fractions(), gallery_fractions(),
+           st.sampled_from(["other", "opposite", "difference"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_constructor(self, xs, zs, mode):
+        # y is an independent operand, -x (a zero sum), or z - x, whose sum
+        # with x cancels x's extra denominator factors
+        x, (zn, zd) = RatFuncQ(*xs), zs
+        y = {"other": lambda: RatFuncQ(zn, zd),
+             "opposite": lambda: -x,
+             "difference": lambda: RatFuncQ(zn * x.den - x.num * zd, zd * x.den)}[mode]()
+        self.check(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        # coprime denominators: no gcd after gcd(b, d)
+        (RatFuncQ(P(1), one_minus_q_to(1)), RatFuncQ(P(0, 1), P(1, 1))),
+        # a common factor 1 - q that the sum keeps
+        (RatFuncQ(P(1), one_minus_q_to(1)), RatFuncQ(P(1), one_minus_q_to(2))),
+        # a common factor 1 + q that the sum cancels: the result is 1/(1 - q)
+        (RatFuncQ(P(1), one_minus_q_to(2)), RatFuncQ(P(0, 1), one_minus_q_to(2))),
+        # x + (-x) = 0
+        (RatFuncQ(P(2, 3), one_minus_q_to(3)), RatFuncQ(P(-2, -3), one_minus_q_to(3))),
+        # unit denominators, and a numerator that shares a factor with
+        # the other operand's denominator
+        (RatFuncQ(P(Fraction(1, 2), 0, 3)), RatFuncQ(P(1, -1), one_minus_q_to(2))),
+        (RatFuncQ(P(3)), RatFuncQ(P(Fraction(-5, 7), 1))),
+        # zero operands
+        (RatFuncQ(PolyQ()), RatFuncQ(P(1), one_minus_q_to(2))),
+        (RatFuncQ(P(0, 1), one_minus_q_to(1)), RatFuncQ(PolyQ(), P(1, 1))),
+    ], ids=["coprime", "common-kept", "common-cancelled", "zero-sum",
+            "unit-den", "unit-dens", "zero-left", "zero-right"])
+    def test_branches(self, x, y):
+        self.check(x, y)
+        self.check(y, x)
+
+    def test_common_factor_cancels_in_sum(self):
+        x = RatFuncQ(P(1), one_minus_q_to(2))
+        y = RatFuncQ(P(0, 1), one_minus_q_to(2))
+        assert x + y == RatFuncQ(P(1), one_minus_q_to(1))
+        assert not RatFuncQ(P(2, 3), one_minus_q_to(3)) + RatFuncQ(P(-2, -3), one_minus_q_to(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gcds_stay_at_operand_degree(self, monkeypatch, seed):
+        # coprime cubic denominators: the sum and the product take gcds of
+        # the operands' parts, never of the degree-6 unreduced ones
+        b, d = random_cubic(seed), random_cubic(seed + 100)
+        assert poly_gcd(b, d) == P(1)
+        x = RatFuncQ(random_cubic(seed + 200), b)
+        y = RatFuncQ(random_cubic(seed + 300), d)
+        degrees = []
+
+        def recording_gcd(u, v):
+            degrees.append((len(u.prim) - 1, len(v.prim) - 1))
+            return poly_gcd(u, v)
+
+        monkeypatch.setattr(coefficients, "poly_gcd", recording_gcd)
+        x + y
+        x * y
+        assert degrees and max(map(max, degrees)) <= 3
+
+
 def gcd_operands(max_degree):
     # g*u and g*v with deg g + deg u, deg g + deg v <= max_degree
     small = st.fractions(min_value=-9, max_value=9, max_denominator=6)

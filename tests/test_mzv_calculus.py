@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from rbmzv import mzv_calculus
 from rbmzv.corpus import _admissible_compositions
-from rbmzv.coefficients import ONE_MINUS_Q
+from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
+from rbmzv.letters import QLETTERS
 from rbmzv.tensor_algebra import _add_term, mixable_shuffle
 from rbmzv.mzv_calculus import (
     InadmissibleError,
@@ -112,6 +113,47 @@ class TestQStuffle:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f5f8bad454c6e259f4057abfefd4d3484688bf566105fa637c984c979fea7b64"
         )
+
+    @staticmethod
+    def assert_equals_direct_kernel(a, b):
+        # the path counts times (1-q)^e are the q-letter kernel's own
+        # coefficients: same words, same order, same types and text
+        got, want = q_stuffle(a, b), mixable_shuffle(QLETTERS, a, b, 1)
+        assert list(got) == list(want), (a, b)
+        assert [(type(c), str(c)) for c in got.values()] == [
+            (type(c), str(c)) for c in want.values()], (a, b)
+        assert got == want
+
+    def test_graded_equals_direct_kernel_on_short_words(self):
+        words = [w for n in (1, 2, 3) for w in itertools.product((1, 2, 3), repeat=n)]
+        for a, b in itertools.product(words, repeat=2):
+            self.assert_equals_direct_kernel(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ((1, 3, 4, 6), (2, 3, 5, 8)),
+        ((1, 3, 4, 6), (2, 3, 5, 7, 8)),
+        ((2, 3, 5, 7, 8), (1, 3, 4, 6)),
+    ], ids=["4x4", "4x5", "5x4"])
+    def test_graded_equals_direct_kernel_on_benchmark_parts(self, a, b):
+        self.assert_equals_direct_kernel(a, b)
+
+    def test_builds_one_polynomial_per_power_and_count(self, monkeypatch):
+        # the paths are counted in ints: no PolyQ product runs per path or
+        # per word, at most one per distinct (e, count)
+        a, b = (1, 2, 4, 6, 9), (2, 3, 5, 7, 8)
+        calls = []
+        mul = PolyQ.__mul__
+
+        def counting_mul(p, other):
+            calls.append(1)
+            return mul(p, other)
+
+        monkeypatch.setattr(PolyQ, "__mul__", counting_mul)
+        monkeypatch.setattr(PolyQ, "__rmul__", counting_mul)
+        got = q_stuffle(a, b)
+        wt = sum(a) + sum(b)
+        distinct = {(wt - sum(w), c) for w, c in got.items() if not isinstance(c, int)}
+        assert len(calls) <= len(distinct)
 
 
 class TestWordEncoding:

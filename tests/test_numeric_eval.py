@@ -502,6 +502,31 @@ def _wide_random(rng, n, dtype):
     return a
 
 
+#: the cutoff draws after ``where`` (see ``_drawn_stop``), and the number
+#: of nonzero terms before the cutoff (``_keep_window``)
+STOP_DRAWS = (st.sampled_from([None, "lo", "hi"]), st.integers(-1, 1),
+              st.sampled_from([16, 128, 1024, None]))
+
+
+def _drawn_stop(n, dtype, where, edge, nudge):
+    """A cutoff ``where`` / 2^16 of the way through n elements, or on an
+    edge of the kernel run that holds that point, or one element either
+    side of the edge."""
+    stop = where * n >> 16
+    if edge and stop:
+        lo, hi = _leaves(n, np.dtype(dtype), stop=stop)[-1]
+        stop = min(n, max(0, (lo if edge == "lo" else hi) + nudge))
+    return stop
+
+
+def _keep_window(a, stop, window):
+    """Zero ``a`` from ``stop`` on, and before the ``window`` terms that end
+    there (if a window is drawn), so that the order of additions in the
+    runs next to ``stop`` shows in a total."""
+    a[stop:] = 0
+    a[:max(0, stop - (window or stop))] = 0
+
+
 WALK_CHAINS = [("a", "b", "c"), ("b", "c"), ("c", "b", "c"), ("a",)]
 
 
@@ -542,25 +567,16 @@ class TestBlockWalk:
 
     @given(st.integers(1, 8), st.integers(-24, 24),
            st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1),
-           st.integers(0, 1 << 16), st.sampled_from([None, "lo", "hi"]), st.integers(-1, 1),
-           st.sampled_from([16, 128, 1024, None]))
+           st.integers(0, 1 << 16), *STOP_DRAWS)
     @example(2, 7, np.float64, 1, 50000, None, 0, 128)
     @example(2, 7, np.complex128, 1, 30000, None, 0, 128)
     @settings(max_examples=80, deadline=None)
     def test_cut_leaf_sums_rebuild_numpy_sum(self, leaves, offset, dtype, seed,
                                              where, edge, nudge, window):
-        # ``stop`` anywhere, or on an edge of the kernel run that holds that
-        # point, or one element either side of the edge
         n = max(1, leaves * _LEAF + offset)
-        stop = where * n >> 16
-        if edge and stop:
-            lo, hi = _leaves(n, np.dtype(dtype), stop=stop)[-1]
-            stop = min(n, max(0, (lo if edge == "lo" else hi) + nudge))
+        stop = _drawn_stop(n, dtype, where, edge, nudge)
         a = _wide_random(np.random.default_rng(seed), n, dtype)
-        a[stop:] = 0
-        # terms only in a window before ``stop`` (if one is drawn), so that
-        # the order of additions in the runs next to it shows in the total
-        a[:max(0, stop - (window or stop))] = 0
+        _keep_window(a, stop, window)
         blocks = _leaves(n, a.dtype, stop=stop)
         got = _tree_sum([a[lo:hi].sum() for lo, hi in blocks], n, a.dtype, stop)
         assert got.tobytes() == a.sum().tobytes(), (
@@ -570,16 +586,26 @@ class TestBlockWalk:
             "stop matching whole-array sums")
 
     @given(st.integers(1, 4), st.integers(-24, 24),
-           st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_walk_matches_whole_array_arithmetic(self, leaves, offset, dtype, seed):
+           st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1),
+           st.none() | st.integers(0, 1 << 16), *STOP_DRAWS)
+    @example(2, 7, np.float64, 1, 50000, None, 0, 128)
+    @example(2, 7, np.complex128, 1, 30000, None, 0, 128)
+    @settings(max_examples=40, deadline=None)
+    def test_walk_matches_whole_array_arithmetic(self, leaves, offset, dtype, seed,
+                                                 where, edge, nudge, window):
         # arbitrary terms: unlike zeta's, late blocks matter to the values,
-        # so a prefix sum off by one rounding shows in them
+        # so a prefix sum off by one rounding shows in them; with a drawn
+        # cutoff, every term from it on is zero and the walk stops there
         n = max(1, leaves * _LEAF + offset)
         rng = np.random.default_rng(seed)
         terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
+        stop = math.inf
+        if where is not None:
+            stop = _drawn_stop(n, dtype, where, edge, nudge)
+            for t in terms.values():
+                _keep_window(t, stop, window)
         got = _walk(WALK_CHAINS, n, np.dtype(dtype),
-                    lambda lo, hi: lambda key: terms[key][lo:hi].copy())
+                    lambda lo, hi: lambda key: terms[key][lo:hi].copy(), stop)
         for chain in WALK_CHAINS:
             assert got[chain] == _whole_array_sum(terms, chain), chain
 
@@ -587,33 +613,35 @@ class TestBlockWalk:
     @pytest.mark.parametrize("where", ["inside", "at", "past", "start", "end"])
     def test_stop_matches_zeroed_tail(self, dtype, where):
         # every summand from ``stop`` on is zero, so the walk may leave out
-        # each leaf that starts there and count each such subtree as +0
+        # each leaf that starts there and count each such subtree as +0;
+        # with terms only in the 128 before ``stop``, the order of additions
+        # in the kernel run that holds it shows in the values
         n = MULTI_BLOCK
         leaves = _leaves(n, np.dtype(dtype))
         boundary = leaves[1][0]
         stop = {"inside": boundary - 5, "at": boundary, "past": boundary + 5,
                 "start": 0, "end": n}[where]
-        rng = np.random.default_rng(7)
-        terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
-        for t in terms.values():
-            t[stop:] = 0
-        visited = []
+        for window in (None, 128):
+            rng = np.random.default_rng(7)
+            terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
+            for t in terms.values():
+                _keep_window(t, stop, window)
+            visited = []
 
-        def block_terms(lo, hi):
-            visited.append((lo, hi))
-            return lambda key: terms[key][lo:hi].copy()
+            def block_terms(lo, hi):
+                visited.append((lo, hi))
+                return lambda key: terms[key][lo:hi].copy()
 
-        got = _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop)
-        assert visited == _leaves(n, np.dtype(dtype), stop=stop)
-        # the leaf holding ``stop`` is cut down to one run of numpy's unrolled
-        # kernel: 128 float64 components
-        kernel = 128 * 8 // np.dtype(dtype).itemsize
-        assert not visited or visited[-1][1] <= stop + kernel
-        for chain in WALK_CHAINS:
-            want = _whole_array_sum(terms, chain)
-            assert got[chain] == want, chain
-            assert np.signbit(got[chain].real) == np.signbit(want.real), chain
-
+            got = _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop)
+            assert visited == _leaves(n, np.dtype(dtype), stop=stop)
+            # the leaf holding ``stop`` is cut down to one run of numpy's
+            # unrolled kernel: 128 float64 components
+            kernel = 128 * 8 // np.dtype(dtype).itemsize
+            assert not visited or visited[-1][1] <= stop + kernel
+            for chain in WALK_CHAINS:
+                want = _whole_array_sum(terms, chain)
+                assert got[chain] == want, (window, chain)
+                assert np.signbit(got[chain].real) == np.signbit(want.real), (window, chain)
 
 def _traced_peak(fn):
     fn()  # first call outside tracing, so lazy set-up is not counted
