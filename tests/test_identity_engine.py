@@ -1,10 +1,13 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
 from rbmzv.cli import canonical_json
+from rbmzv.coefficients import ONE_MINUS_Q
 from rbmzv.identity_engine import (
+    _element_compare,
     _mod_p_failure,
     bohnenblust_spitzer_check,
     congruence_check,
@@ -99,6 +102,26 @@ def test_series_reports_pinned():
     text = canonical_json([r.to_json() for r in reports])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "861838e1776520e4f8d89484cf4da254d0ad31a9ba1aad1fe011732b4d50bba2")
+
+
+def test_sha_reports_pinned():
+    # every n the Bohnenblust-Spitzer check accepts, and two unequal pairs:
+    # the first differs first at a unit head, the second at a letter head
+    reports = [bohnenblust_spitzer_check(n) for n in range(2, 6)]
+    alg = ShaAlgebra(COMPOSITION, 1)
+    pa, pb = alg.p(alg.j(2)), alg.p(alg.j(3))
+    reports.append(_element_compare(
+        "unit_head", {}, alg.j(4) * pa * pb,
+        alg.pure(4, (2, 3)) + alg.pure(4, (3, 2)) + alg.pure(None, (5,))))
+    q = ShaAlgebra(QLETTERS, ONE_MINUS_Q)
+    reports.append(_element_compare(
+        "letter_head", {}, q.j(2) * q.p(q.j(1)) * q.p(q.j(1)),
+        Fraction(1, 2) * q.pure(2, (1, 1)) + q.pure(2, (2,))))
+    assert reports[-2].first_diff == "coefficient -1 at (None, (5,))"
+    assert reports[-1].first_diff == "coefficient 1 - 2*q + q^2 at (2, (1,))"
+    text = canonical_json([r.to_json() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ceb1db3b46aff5f025d3586a29f276d03b5325fab5df4d6352b75405d4a81d3a")
 
 
 class TestBohnenblustSpitzer:
