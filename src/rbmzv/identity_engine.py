@@ -113,9 +113,8 @@ def _element_compare(name, params, lhs: ShaElement, rhs: ShaElement) -> Identity
     diff = lhs - rhs
     first_diff = None
     if diff:
-        key = min(diff.terms, key=diff.sort_key)
-        h, t = key
-        first_diff = f"coefficient {diff.terms[key]} at {(h, t)}"
+        w = min(diff.terms, key=diff.sort_key)
+        first_diff = f"coefficient {diff.terms[w]} at {(w[0], w[1:])}"
     return IdentityReport(
         name=name,
         params=params,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -41,7 +42,7 @@ from json.encoder import encode_basestring
 from .coefficients import PolyQ
 from .identity_engine import _check_range, _mod_p_failure, _signed_set_partitions, freshman_power
 from .letters import COMPOSITION, QLETTERS, LetterSystem
-from .tensor_algebra import _add_term, mixable_shuffle
+from .tensor_algebra import _prepend, mixable_shuffle
 
 Composition = tuple
 ZetaCombo = dict  # Composition -> coefficient
@@ -248,11 +249,10 @@ def double_shuffle_relation(a: Composition, b: Composition) -> Relation:
     require_admissible(a)
     require_admissible(b)
     terms = stuffle(a, b)  # a fresh dict, merged into in place
-    get = terms.get
-    for c, coef in shuffle_zeta(a, b).items():
-        terms[c] = get(c, 0) - coef
+    _prepend(terms, (), shuffle_zeta(a, b), -1)
+    # both products count paths, so every coefficient is already an int
     return Relation(
-        tuple(((c,), _exact(v)) for c, v in sorted(terms.items()) if v),
+        tuple(((c,), v) for c, v in sorted(terms.items())),
         f"double_shuffle({composition_str(a)}|{composition_str(b)})",
     )
 
@@ -261,7 +261,7 @@ def _add_partition_sum(terms: dict, s: tuple, scale):
     """Add scale * sum_pi w(pi) prod_B zeta(sum_{i in B} s_i) into terms."""
     for coef, blocks in _signed_set_partitions(len(s)):
         mono = _mono(*((sum(s[i - 1] for i in block),) for block in blocks))
-        _add_term(terms, mono, scale * coef)
+        terms[mono] = terms.get(mono, 0) + scale * coef
 
 
 def hoffman_partition_relation(s: tuple) -> Relation:
@@ -270,9 +270,7 @@ def hoffman_partition_relation(s: tuple) -> Relation:
         raise ValueError("need 2..5 exponents")
     if any(p < 2 for p in s):
         raise InadmissibleError("all exponents must be >= 2")
-    terms: dict = {}
-    for perm in itertools.permutations(s):
-        _add_term(terms, _mono(perm), 1)
+    terms = Counter(map(_mono, itertools.permutations(s)))
     _add_partition_sum(terms, s, -1)
     return Relation.from_dict(
         terms, f"hoffman({','.join(str(p) for p in s)})"

@@ -4,9 +4,9 @@ algebra Sha(A) with its shift operator.
 Words are tuples of letter payloads (see ``letters``).  Linear
 combinations of words are plain dicts word -> coefficient with zero
 coefficients dropped; the empty word () stands for the ring unit of the
-unitarized word algebra.  Elements of Sha(A) are handled by ``ShaAlgebra``
-/ ``ShaElement``; there the distinguished payload ``None`` is the unit
-letter of the unitarization of A.
+unitarized word algebra.  An element of Sha(A) (``ShaElement``) is such a
+dict whose words' first letter is the A-factor; there the payload ``None``
+is the unit letter of the unitarization of A.
 
 Hoffman's quasi-shuffle is the weight-1 mixable shuffle,
 ``mixable_shuffle(system, a, b, 1)``.  The mixable shuffle and the Sha(A)
@@ -23,9 +23,9 @@ side is one step of the same recursion on reversed words.
 ``ShaElement.__mul__`` calls ``_msh`` directly, since its tails are short
 and share one memo.  The p-th power of one pure tensor over composition
 letters, behind the Freshman's-Dream congruence, is
-``identity_engine.freshman_power``.  ``_msh``, the join and
-``freshman_power`` build their terms through ``_prepend``, which holds the
-join's unit rule and drops zeros as it adds.
+``identity_engine.freshman_power``.  ``_msh``, the join, ``freshman_power``
+and Sha(A)'s P, +, - and product build their terms through ``_prepend``,
+which holds the join's unit rule and drops zeros as it adds.
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ from .letters import LetterSystem
 
 Word = tuple
 LinComb = dict  # Word -> coefficient
-
-
-def _add_term(out: dict, w, c):
-    v = out.get(w)
-    if v is None:
-        out[w] = c
-    else:
-        v = v + c
-        if v:
-            out[w] = v
-        else:
-            del out[w]
 
 
 def _prepend(out: dict, head: Word, combo: LinComb, coef=1):
@@ -106,7 +94,7 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
     """
     a, b = tuple(a), tuple(b)
     if len(a) < 4 or len(b) < 2:
-        return dict(_msh(system, a, b, weight, {}))
+        return _msh(system, a, b, weight, {})
     c, n = len(a) // 2, len(b)
     last, head, tail = a[c - 1], a[:c - 1][::-1], a[c:]
     rb = b[::-1]  # rb[n - j:] is b[:j] reversed
@@ -161,42 +149,35 @@ def render_word(system: LetterSystem, w: Word) -> str:
 class ShaAlgebra:
     """Sha(A) = A x (k + Sha+(A)) with the shift operator P(x) = 1 (x) x.
 
-    Elements are stored as maps (head, tail) -> coefficient where head is
-    a letter payload or None (the unit of the unitarized letter algebra)
-    and tail is a possibly empty word whose letters may include None.
+    An element maps each pure tensor a0 (x) a1 (x) ... (x) an, stored as the
+    word (a0, a1, ..., an), to its coefficient: the head a0 is a letter
+    payload or None (the unit of the unitarized letter algebra), and the tail
+    letters may include None.  P, +, - and x build through ``_prepend``.
     """
 
     def __init__(self, system: LetterSystem, weight=1):
         self.system = system
         self.weight = weight
 
-    def element(self, terms: dict) -> "ShaElement":
-        out: dict = {}
-        for k, c in terms.items():
-            if c:
-                _add_term(out, k, c)
-        return ShaElement(self, out)
-
     def zero(self) -> "ShaElement":
         return ShaElement(self, {})
 
     def one(self) -> "ShaElement":
-        return ShaElement(self, {(None, ()): 1})
+        return ShaElement(self, {(None,): 1})
 
     def j(self, payload) -> "ShaElement":
         """The embedding A -> Sha(A), a -> a (x) 1."""
-        return ShaElement(self, {(payload, ()): 1})
+        return ShaElement(self, {(payload,): 1})
 
     def pure(self, head, tail) -> "ShaElement":
-        return ShaElement(self, {(head, tuple(tail)): 1})
+        return ShaElement(self, {(head,) + tuple(tail): 1})
 
     def p(self, x: "ShaElement") -> "ShaElement":
         """Shift operator P(head (x) tail) = 1 (x) head (x) tail."""
         if x.alg is not self:
             raise ValueError("element from a different algebra")
         out: dict = {}
-        for (h, t), c in x.terms.items():
-            _add_term(out, (None, (h,) + t), c)
+        _prepend(out, (None,), x.terms)
         return ShaElement(self, out)
 
     def star(self, u: "ShaElement", v: "ShaElement") -> "ShaElement":
@@ -234,15 +215,13 @@ class ShaElement:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, c)
+        _prepend(out, (), other.terms)
         return ShaElement(self.alg, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, -c)
+        _prepend(out, (), other.terms, -1)
         return ShaElement(self.alg, out)
 
     def __rmul__(self, scalar):
@@ -255,6 +234,7 @@ class ShaElement:
         )
 
     def __mul__(self, other):
+        """(a0 (x) U)(b0 (x) V) = a0 b0 (x) (U ш V); the tails share a memo."""
         if not isinstance(other, ShaElement):
             return self.__rmul__(other)
         self._check(other)
@@ -262,17 +242,15 @@ class ShaElement:
         system, lam = alg.system, alg.weight
         out: dict = {}
         memo: dict = {}
-        for (h1, t1), c1 in self.terms.items():
-            for (h2, t2), c2 in other.terms.items():
-                c = c1 * c2
-                heads = _unit_product(system, h1, h2)
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                heads = _unit_product(system, w1[0], w2[0])
                 if not heads:
                     continue
-                tails = _msh(system, t1, t2, lam, memo)
+                c = c1 * c2
+                tails = _msh(system, w1[1:], w2[1:], lam, memo)
                 for hc, h in heads:
-                    chc = c * hc
-                    for t, tc in tails.items():
-                        _add_term(out, (h, t), chc * tc)
+                    _prepend(out, (h,), tails, c * hc)
         return ShaElement(alg, out)
 
     def __bool__(self):
@@ -285,25 +263,18 @@ class ShaElement:
             return not self.terms
         return NotImplemented
 
-    def sort_key(self, key):
-        h, t = key
-
+    def sort_key(self, w):
         def lk(x):
             return (0,) if x is None else (1, x)
 
-        return (lk(h), len(t), tuple(lk(x) for x in t))
+        return (lk(w[0]), len(w), tuple(map(lk, w[1:])))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         system = self.alg.system
-        parts = []
-        for key in sorted(self.terms, key=self.sort_key):
-            h, t = key
-            c = self.terms[key]
-            word = render_word(system, (h,) + t)
-            parts.append(f"{c}*{word}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"{self.terms[w]}*{render_word(system, w)}"
+            for w in sorted(self.terms, key=self.sort_key)
+        ) or "0"
 
     def __repr__(self):
         return f"ShaElement({self})"

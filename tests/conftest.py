@@ -4,7 +4,7 @@ import pytest
 
 from rbmzv.letters import COMPOSITION, LetterSystem
 from rbmzv.mzv_calculus import require_admissible
-from rbmzv.tensor_algebra import ShaAlgebra
+from rbmzv.tensor_algebra import ShaAlgebra, ShaElement
 
 
 # --- the word encoding of zeta values: the reference for shuffle_zeta ---
@@ -53,8 +53,9 @@ def random_sha_element(alg, rng, max_terms=3, max_payload=4, max_tail=2):
         tail = tuple(
             rng.randint(1, max_payload) for _ in range(rng.randint(0, max_tail))
         )
-        terms[(head, tail)] = terms.get((head, tail), 0) + rng.randint(-3, 3)
-    return alg.element(terms)
+        w = (head,) + tail
+        terms[w] = terms.get(w, 0) + rng.randint(-3, 3)
+    return ShaElement(alg, {w: c for w, c in terms.items() if c})
 
 
 @pytest.fixture

@@ -159,8 +159,8 @@ def sha_power_reference(w, p, system):
     power = x
     for _ in range(p - 1):
         power = power * x
-    assert all(h is None for h, _ in power.terms)
-    return {t: c for (_, t), c in power.terms.items()}
+    assert all(w[0] is None for w in power.terms)
+    return {w[1:]: c for w, c in power.terms.items()}
 
 
 # p in {2, 3, 5} on words of length <= 2; (1, 1, 2) only up to p = 3, where

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmzv import mzv_calculus
-from rbmzv.corpus import _admissible_compositions
+from rbmzv.corpus import _admissible_compositions, corpus_relations
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
 from rbmzv.letters import QLETTERS
-from rbmzv.tensor_algebra import _add_term, mixable_shuffle
+from rbmzv.tensor_algebra import mixable_shuffle
 from rbmzv.mzv_calculus import (
     InadmissibleError,
     Relation,
@@ -180,11 +180,10 @@ SMALL_ADMISSIBLE = _admissible_compositions(8, 4)
 
 
 def word_shuffle_zeta(a, b):
-    """The shuffle of the words of a and b, decoded to compositions."""
-    out = {}
-    for w, c in mixable_shuffle(WORD, comp_to_word(a), comp_to_word(b), 0).items():
-        _add_term(out, word_to_comp(w), c)
-    return out
+    """The shuffle of the words of a and b, decoded to compositions (the
+    encoding is one-to-one, so no two words meet)."""
+    words = mixable_shuffle(WORD, comp_to_word(a), comp_to_word(b), 0)
+    return {word_to_comp(w): c for w, c in words.items()}
 
 
 class TestShuffleZeta:
@@ -308,6 +307,16 @@ class TestDoubleShuffle:
         assert d[((5,),)] == 1
         assert d[((4, 1),)] == -6
         assert d[((3, 2),)] == -2
+
+    def test_corpus_coefficients_are_nonzero_ints(self):
+        # both products count paths, so no coefficient is a Fraction, which
+        # the corpus bytes could not show: str(Fraction(3, 1)) == "3"
+        relations = [rel for _, gen, _, rel in corpus_relations(12, 5)
+                     if gen == "doubleshuffle"]
+        assert len(relations) == 969
+        for rel in relations:
+            assert rel.terms
+            assert all(type(c) is int and c for _, c in rel.terms), rel.source
 
     def test_stuffle_terms_cancel(self):
         # compositions appearing in both expansions partially cancel

@@ -54,7 +54,6 @@ _REPR = "repr, for debugging"
 KEPT = {
     "nested_sum_oracle": "the acceptance gate's exact oracle",
     "Relation.as_dict": "the acceptance gate reads a relation with it",
-    "ShaAlgebra.element": "conftest.random_sha_element builds elements with it",
     "PolyQ.evaluate": "the acceptance gate evaluates q-stuffle coefficients",
     "Relation.from_json": "reads corpus files back, for the planned corpus audit",
     "__version__": "package metadata",

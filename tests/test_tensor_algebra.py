@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
-from rbmzv.letters import COMPOSITION, QLETTERS, LetterSystem
-from rbmzv.tensor_algebra import ShaAlgebra, _prepend, mixable_shuffle, render_word
+from rbmzv.letters import COMPOSITION, MONOMIAL, QLETTERS, LetterSystem
+from rbmzv.tensor_algebra import (
+    ShaAlgebra, ShaElement, _prepend, mixable_shuffle, render_word,
+)
 
 from conftest import WORD, X0, X1, random_sha_element
 
@@ -74,7 +76,35 @@ def combo_mul(system, x, y, lam):
     return {w: c for w, c in out.items() if c}
 
 
+def add_dropping_zero(out, w, c):
+    """Add c * w into out; a sum that reaches zero is dropped, and a later
+    term starts the word afresh."""
+    if w in out:
+        c = out.pop(w) + c
+    if c:
+        out[w] = c
+
+
+def head_product(system, x, y):
+    """Letter product with None as the unit."""
+    if x is None or y is None:
+        return [(1, y if x is None else x)]
+    return system.product(x, y)
+
+
 class TestMixableShuffle:
+    # 3x3 runs the plain recursion, 5x5 the join; neither result may be
+    # shared with a later call, since double_shuffle_relation and q_stuffle
+    # write into the stuffle they get
+    @pytest.mark.parametrize("n", [3, 5], ids=["plain", "join"])
+    def test_result_is_the_callers_own(self, n):
+        a, b = (1, 2, 3, 4, 6)[:n], (1, 2, 4, 5, 6)[:n]
+        first = mixable_shuffle(COMPOSITION, a, b, 1)
+        expect = dict(first)
+        first[next(iter(first))] += 1
+        first.pop(next(reversed(first)))
+        assert mixable_shuffle(COMPOSITION, a, b, 1) == expect
+
     def test_one_against_two_letters(self):
         # a1 # (b1 x b2) = three shuffles + two merged terms weighted by lambda
         for lam in (0, 1, -1, 2):
@@ -301,18 +331,45 @@ class TestShaAlgebra:
         # of different pairs collide, so their terms add
         words = [w for n in (1, 2, 3) for w in itertools.product((1, 2), repeat=n)]
         alg = ShaAlgebra(QLETTERS, weight)
-        x = alg.element({(None, a): 1 for a in words})
-        y = alg.element({(None, b): 1 for b in words[::-1]})
+        x = ShaElement(alg, {(None,) + a: 1 for a in words})
+        y = ShaElement(alg, {(None,) + b: 1 for b in words[::-1]})
         expect = {}
         for a in words:
             for b in words[::-1]:
                 for w, c in mixable_shuffle_direct(QLETTERS, a, b, weight).items():
-                    expect[None, w] = expect.get((None, w), 0) + c
+                    expect[(None,) + w] = expect.get((None,) + w, 0) + c
         expect = {k: c for k, c in expect.items() if c}
         got = (x * y).terms
         assert got == expect
         assert {k: type(c) for k, c in got.items()} == \
             {k: type(c) for k, c in expect.items()}
+
+    @pytest.mark.parametrize("system", [COMPOSITION, MONOMIAL, QLETTERS],
+                             ids=["composition", "monomial", "q"])
+    @pytest.mark.parametrize("lam", [0, 1, -1, Fraction(-1), ONE_MINUS_Q],
+                             ids=["0", "1", "-1", "-1-fraction", "1-q"])
+    def test_product_and_p_match_definition(self, system, lam, rng):
+        # (a0 (x) U)(b0 (x) V) = a0 b0 (x) (U ш V) on every pair of terms,
+        # heads drawn from None and the letters alike
+        alg = ShaAlgebra(system, lam)
+        heads = set()
+        for _ in range(12):
+            x = random_sha_element(alg, rng, max_terms=4, max_tail=3)
+            y = random_sha_element(alg, rng, max_terms=4, max_tail=3)
+            expect = {}
+            for w1, c1 in x.terms.items():
+                for w2, c2 in y.terms.items():
+                    heads.add(w1[0])
+                    tails = mixable_shuffle(system, w1[1:], w2[1:], lam)
+                    for hc, h in head_product(system, w1[0], w2[0]):
+                        for w, c in tails.items():
+                            add_dropping_zero(expect, (h,) + w, c1 * c2 * hc * c)
+            got = (x * y).terms
+            assert got == expect
+            assert {w: type(c) for w, c in got.items()} == \
+                {w: type(c) for w, c in expect.items()}
+            assert alg.p(x).terms == {(None,) + w: c for w, c in x.terms.items()}
+        assert None in heads and len(heads) > 2
 
     def test_commutative_associative_random(self, rng):
         alg = ShaAlgebra(COMPOSITION, 1)
