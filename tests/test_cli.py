@@ -495,6 +495,19 @@ class TestCorpus:
         assert msg == ""
         assert err.startswith("error: ")
 
+    def test_failed_verification_exits_1(self, capsys, tmp_path, monkeypatch):
+        def build(max_weight, max_depth):
+            return [{"params": str(i), "verified": i != 1} for i in range(3)]
+
+        monkeypatch.setattr(cli, "build_corpus", build)
+        path = tmp_path / "c.jsonl"
+        code, msg, err = run(capsys, "corpus", "build", "--out", str(path))
+        assert (code, err) == (1, "")
+        assert msg == f"wrote 3 entries to {path}; 1 failed verification\n"
+        assert path.read_text().splitlines() == [
+            canonical_json(e) for e in build(6, 3)
+        ]
+
     @pytest.mark.parametrize("bound", [
         ("--max-weight", "-1"), ("--max-weight", "3"), ("--max-depth", "0"),
     ], ids=["weight-minus-1", "weight-3", "depth-0"])
@@ -511,15 +524,20 @@ class TestCorpus:
         for e in entries:
             assert e["residual"] <= e["tolerance"]
 
-    def test_build_corpus_bytes_pinned(self):
+    @pytest.mark.parametrize("max_weight, max_depth, count, digest", [
         # the corpus bytes as computed one composition at a time; sharing
         # suffixes across a build must not change a single residual bit
-        entries = build_corpus(8, 4)
+        (8, 4, 79, "a41467eb2fe8a500943666f0d5d50241ae66803bb6d423b9893a53ef7b8b7d1c"),
+        # the top of the benchmark's corpus builds
+        (12, 5, 1066, "0363075b4ab36fcbda6ce4e661f47520a5d954088dbb3cd4ba617545dcebca27"),
+        (14, 4, 1157, "0d7e1ac5d25e0b076c04917c7b1f3fe274cb2531284e693c95d43f2c19173999"),
+    ], ids=["8-4", "12-5", "14-4"])
+    def test_build_corpus_bytes_pinned(self, max_weight, max_depth, count, digest):
+        # the bytes `rbmzv corpus build --max-weight W --max-depth D` writes
+        entries = list(build_corpus(max_weight, max_depth))
         text = "".join(canonical_json(e) + "\n" for e in entries)
-        assert len(entries) == 79
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "a41467eb2fe8a500943666f0d5d50241ae66803bb6d423b9893a53ef7b8b7d1c"
-        )
+        assert len(entries) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_relation_text_is_canonical_json(self):
         # the C encoder writes canonical_json's bytes for float-free data
@@ -542,16 +560,6 @@ class TestCorpus:
                         and len(a) + len(b) <= max_depth]
                 assert _double_shuffle_pairs(
                     comps, max_weight, max_depth) == scan, (max_weight, max_depth)
-
-    def test_build_corpus_bytes_pinned_benchmark_range(self):
-        # weight 12 and depth 5, the top of the benchmark's corpus builds;
-        # the bytes `rbmzv corpus build --max-weight 12 --max-depth 5` writes
-        entries = build_corpus(12, 5)
-        text = "".join(canonical_json(e) + "\n" for e in entries)
-        assert len(entries) == 1066
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "0363075b4ab36fcbda6ce4e661f47520a5d954088dbb3cd4ba617545dcebca27"
-        )
 
 
 class TestUsage:
