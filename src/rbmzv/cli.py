@@ -3,7 +3,9 @@ numeric evaluation, identity verification and the golden relation corpus.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error
 or an input too large to compute (the run exhausted memory or the
-recursion limit, or a float overflowed).
+recursion limit, or a float overflowed).  ``corpus build`` writes each
+entry as it is made, so a build that fails partway leaves at ``--out``
+the whole lines written before the failure; nothing removes them.
 All output is deterministic; floats are rendered with 17 significant
 digits.
 """
@@ -249,13 +251,13 @@ def cmd_corpus(args) -> int:
                          "or --max-depth 1")
     # opened first, so an unwritable path fails before the build runs
     with open(args.out, "w", encoding="utf-8") as fh:
-        entries = build_corpus(args.max_weight, args.max_depth)
-        for e in entries:
+        written = failed = 0
+        for e in build_corpus(args.max_weight, args.max_depth):
             fh.write(canonical_json(e) + "\n")
-    bad = [e for e in entries if not e["verified"]]
-    print(f"wrote {len(entries)} entries to {args.out}; "
-          f"{len(bad)} failed verification")
-    return 1 if bad else 0
+            written += 1
+            failed += not e["verified"]
+    print(f"wrote {written} entries to {args.out}; {failed} failed verification")
+    return 1 if failed else 0
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,10 @@
-"""The golden relation corpus, generated exactly and without numpy
-(``corpus_relations``), then evaluated in one ``zeta_values`` walk and
-written in one nine-key entry schema (``build_corpus``)."""
+"""The golden relation corpus, one relation alive at a time: the keys,
+listed without numpy or any product (``corpus_relations``), then one
+``zeta_values`` walk over the bounds, then per key one relation built,
+evaluated and yielded as a nine-key entry (``build_corpus``)."""
 
 import itertools
+from functools import partial
 
 from . import mzv_calculus as mzv
 from .mzv_calculus import Relation, composition_str, weight as comp_weight
@@ -42,8 +44,9 @@ def _double_shuffle_pairs(comps, max_weight, max_depth):
 
 
 def corpus_relations(max_weight: int, max_depth: int) -> list:
-    """``(weight, generator, params, relation)`` for every corpus relation
-    within the bounds, sorted by its first three fields, which are unique."""
+    """``(weight, generator, params, make)`` for every corpus relation
+    within the bounds, sorted by its first three fields, which are unique;
+    ``make()`` builds the relation, so listing the keys builds none."""
     relations = []
     comps = _admissible_compositions(max_weight, max_depth)
     for a, b in _double_shuffle_pairs(comps, max_weight, max_depth):
@@ -51,7 +54,7 @@ def corpus_relations(max_weight: int, max_depth: int) -> list:
             comp_weight(a) + comp_weight(b),
             "doubleshuffle",
             f"{composition_str(a)}|{composition_str(b)}",
-            mzv.double_shuffle_relation(a, b),
+            partial(mzv.double_shuffle_relation, a, b),
         ))
     for n in (2, 3):
         if n > max_depth:
@@ -60,20 +63,20 @@ def corpus_relations(max_weight: int, max_depth: int) -> list:
             if sum(s) > max_weight:
                 continue
             relations.append((sum(s), "hoffman", ",".join(str(p) for p in s),
-                              mzv.hoffman_partition_relation(s)))
+                              partial(mzv.hoffman_partition_relation, s)))
     for k in range(2, max_weight + 1):
         for order in range(2, max_depth + 1):
             if k * order > max_weight:
                 continue
             relations.append((k * order, "spitzer", f"k={k},order={order}",
-                              mzv.spitzer_zeta_relation(k, order)))
+                              partial(mzv.spitzer_zeta_relation, k, order)))
     for s in comps:
         for p in (2, 3):
             w = p * comp_weight(s)
             if w > max_weight:
                 continue
             relations.append((w, "congruence", f"{composition_str(s)},p={p}",
-                              mzv.congruence_zeta_relation(s, p)))
+                              partial(mzv.congruence_zeta_relation, s, p)))
     relations.sort(key=lambda r: r[:3])
     return relations
 
@@ -93,28 +96,26 @@ def eval_relation(r: Relation, values: dict) -> float:
     return abs(total)
 
 
-def build_corpus(max_weight: int, max_depth: int) -> list:
-    """All golden-corpus entries within the bounds, verified, sorted; the
-    residuals are evaluated at ``numeric_eval.EvalConfig()``, whose N each
-    numeric entry records."""
-    # imported here, so that generating the relations loads no numpy
+def build_corpus(max_weight: int, max_depth: int):
+    """Yield every golden-corpus entry within the bounds, verified, in key
+    order.  One ``zeta_values`` walk at ``numeric_eval.EvalConfig()``, whose
+    N each numeric entry records, covers every admissible composition
+    within the bounds, and so every relation's; then each relation is built,
+    evaluated and yielded before the next is built."""
+    # imported here, so that listing the relations loads no numpy
     from .numeric_eval import EvalConfig, zeta_values
 
     cfg = EvalConfig()
     relations = corpus_relations(max_weight, max_depth)
-    values = zeta_values(
-        dict.fromkeys(c for *_, rel in relations if isinstance(rel, Relation)
-                      for c in rel.compositions()),
-        cfg,
-    )
-    entries = []
-    for weight, generator, params, rel in relations:
+    values = zeta_values(_admissible_compositions(max_weight, max_depth), cfg)
+    for weight, generator, params, make in relations:
+        rel = make()
         if isinstance(rel, Relation):
             residual = eval_relation(rel, values)
             verified, mode = residual <= RESIDUAL_TOL, "numeric"
         else:
             residual, verified, mode = 0.0, rel["holds"], "exact-mod-p"
-        entries.append({
+        yield {
             "weight": weight,
             "generator": generator,
             "params": params,
@@ -124,5 +125,4 @@ def build_corpus(max_weight: int, max_depth: int) -> list:
             "tolerance": RESIDUAL_TOL,
             "verified": verified,
             "mode": mode,
-        })
-    return entries
+        }

@@ -217,10 +217,6 @@ class Relation:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def compositions(self):
-        """Distinct compositions in order of first appearance."""
-        return list(dict.fromkeys(c for m, _ in self.terms for c in m))
-
     def json_text(self) -> str:
         """``{"source": ..., "terms": [{"coef": ..., "monomial": ...}, ...]}``
         with ``cli.canonical_json``'s sorted keys and separators."""

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rbmzv import cli, numeric_eval
+from rbmzv import cli, mzv_calculus as mzv, numeric_eval
 from rbmzv.cli import canonical_json, main
 from rbmzv.corpus import (
     _admissible_compositions, _double_shuffle_pairs, build_corpus, corpus_relations,
@@ -495,6 +496,44 @@ class TestCorpus:
         assert msg == ""
         assert err.startswith("error: ")
 
+    def test_failed_build_leaves_the_lines_written(self, capsys, tmp_path, monkeypatch):
+        # entries stream to --out, so a build that fails partway leaves the
+        # whole lines written before the failure, and no cleanup runs
+        entries = [{"params": str(i), "verified": True} for i in range(2)]
+
+        def build(max_weight, max_depth):
+            yield from entries
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_corpus", build)
+        path = tmp_path / "c.jsonl"
+        code, msg, err = run(capsys, "corpus", "build", "--out", str(path))
+        assert (code, msg) == (2, "")
+        assert err == "error: input too large to compute (MemoryError)\n"
+        assert path.read_text() == "".join(canonical_json(e) + "\n" for e in entries)
+
+    def test_build_is_lazy(self, monkeypatch):
+        # one relation alive at a time: listing the keys builds none, and
+        # the k-th entry comes after exactly k relations were built
+        calls = Counter()
+
+        def counting(name, generator):
+            def counted(*args):
+                calls[name, args] += 1
+                return generator(*args)
+            return counted
+
+        for name in ("double_shuffle_relation", "hoffman_partition_relation",
+                     "spitzer_zeta_relation", "congruence_zeta_relation"):
+            monkeypatch.setattr(mzv, name, counting(name, getattr(mzv, name)))
+        assert len(corpus_relations(12, 5)) == 1066
+        assert not calls
+        k = 0
+        for k, _ in enumerate(build_corpus(12, 5), 1):
+            assert calls.total() == k
+        assert k == len(calls) == 1066
+        assert set(calls.values()) == {1}
+
     def test_failed_verification_exits_1(self, capsys, tmp_path, monkeypatch):
         def build(max_weight, max_depth):
             return [{"params": str(i), "verified": i != 1} for i in range(3)]
@@ -541,7 +580,7 @@ class TestCorpus:
 
     def test_relation_text_is_canonical_json(self):
         # the C encoder writes canonical_json's bytes for float-free data
-        relations = [rel for *_, rel in corpus_relations(12, 5)
+        relations = [rel for rel in (make() for *_, make in corpus_relations(12, 5))
                      if isinstance(rel, Relation)]
         assert len(relations) == 1066 - 38  # all but the congruence entries
         for rel in relations:

@@ -283,14 +283,6 @@ class TestRelation:
                       {"coef": "3", "monomial": [[5]]}],
         }
 
-    def test_compositions_in_order_of_first_appearance(self):
-        r = Relation(
-            ((((2,), (3,)), Fraction(1)), (((3,), (2, 1)), Fraction(-1)),
-             (((5,),), Fraction(2))),
-            "test",
-        )
-        assert r.compositions() == [(2,), (3,), (2, 1), (5,)]
-
 
 class TestDoubleShuffle:
     def test_famous_weight_four(self):
@@ -311,7 +303,7 @@ class TestDoubleShuffle:
     def test_corpus_coefficients_are_nonzero_ints(self):
         # both products count paths, so no coefficient is a Fraction, which
         # the corpus bytes could not show: str(Fraction(3, 1)) == "3"
-        relations = [rel for _, gen, _, rel in corpus_relations(12, 5)
+        relations = [make() for _, gen, _, make in corpus_relations(12, 5)
                      if gen == "doubleshuffle"]
         assert len(relations) == 969
         for rel in relations:
