@@ -106,9 +106,8 @@ def build_corpus(max_weight: int, max_depth: int):
     from .numeric_eval import EvalConfig, zeta_values
 
     cfg = EvalConfig()
-    relations = corpus_relations(max_weight, max_depth)
     values = zeta_values(_admissible_compositions(max_weight, max_depth), cfg)
-    for weight, generator, params, make in relations:
+    for weight, generator, params, make in corpus_relations(max_weight, max_depth):
         rel = make()
         if isinstance(rel, Relation):
             residual = eval_relation(rel, values)
