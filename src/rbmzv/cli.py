@@ -147,7 +147,7 @@ def relation_text(rel: Relation) -> str:
     for m, c in rel.terms:
         mono = "*".join(f"zeta({composition_str(comp)})" for comp in m)
         parts.append(f"{c}*{mono}" if mono else str(c))
-    return " + ".join(parts) + " = 0"
+    return (" + ".join(parts) or "0") + " = 0"
 
 
 def cmd_eval(args) -> int:

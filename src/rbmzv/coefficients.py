@@ -266,8 +266,8 @@ class PolyQ(DensePoly):
         return self._make(-self.content, self.prim)
 
     def __mul__(self, other):
-        # a scalar only rescales the content; the q-letter product meets
-        # int * PolyQ on every term
+        # a scalar only rescales the content; int * PolyQ comes from
+        # _prepend's coef * c at weight 1 - q and from Sha products over QLETTERS
         if isinstance(other, self._scalars):
             if not other or not self.prim:
                 return PolyQ()

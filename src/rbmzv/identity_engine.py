@@ -32,6 +32,11 @@ def _check_range(name: str, value: int, lo: int, hi: int):
         raise ValueError(f"{name} must be in {lo}..{hi}")
 
 
+def check_composition(s):
+    if not s or any(not isinstance(p, int) or p < 1 for p in s):
+        raise ValueError(f"not a composition: {s!r}")
+
+
 @dataclass
 class IdentityReport:
     name: str
@@ -194,8 +199,7 @@ def freshman_power(w: tuple, p: int) -> dict:
     """
     _check_prime(p)
     w = tuple(w)
-    if not w:
-        raise ValueError("word must be nonempty")
+    check_composition(w)
     n = len(w)
     memo: dict = {}
 

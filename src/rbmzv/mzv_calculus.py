@@ -40,7 +40,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .coefficients import PolyQ
-from .identity_engine import _check_range, _mod_p_failure, _signed_set_partitions, freshman_power
+from .identity_engine import (_check_range, _mod_p_failure, _signed_set_partitions,
+                              check_composition, freshman_power)
 from .letters import COMPOSITION, QLETTERS, LetterSystem
 from .tensor_algebra import _prepend, mixable_shuffle
 
@@ -51,11 +52,6 @@ Monomial = tuple  # sorted tuple of Compositions
 
 class InadmissibleError(ValueError):
     """Raised when a divergent (s1 = 1) composition is used numerically."""
-
-
-def check_composition(s: Composition):
-    if not s or any(not isinstance(p, int) or p < 1 for p in s):
-        raise ValueError(f"not a composition: {s!r}")
 
 
 def is_admissible(s: Composition) -> bool:

@@ -11,6 +11,8 @@ and the value is sum_n g_1(n).  g_j depends only on the suffix
 (s_j, ..., s_k), so ``zeta_values`` evaluates a whole set of compositions
 in one depth-first walk over the trie of their suffixes (``_walk``, the
 only prefix-sum kernel; ``mpl_num`` and ``qmzv_num`` walk a single chain).
+The walk's preorder is the sorted list of the suffixes read innermost part
+first, in which a suffix's parent is the suffix without its outermost part.
 
 The walk goes block by block over n = 1..N.  The blocks are the leaves of
 numpy's pairwise-summation tree cut at ``_LEAF`` elements: numpy splits a
@@ -55,7 +57,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mzv_calculus import check_composition, require_admissible
+from .identity_engine import check_composition
+from .mzv_calculus import require_admissible
 
 
 @dataclass
@@ -197,9 +200,10 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     by ``_split`` for ``dtype``), first to last.  ``block_terms(lo, hi)``
     computes a block's shared inputs once and returns ``level``, mapping a
     key to its term block f, which is computed once per distinct key.  The
-    trie is then visited depth-first: a node's summands g are f times its
-    parent's exclusive prefix sums, in a fresh array, so no block another
-    node reads is written.
+    trie's nodes, the chains' suffixes sorted innermost key first, are then
+    visited in that order, depth-first: a node's summands g are f times its
+    parent's (its suffix less the outermost key) exclusive prefix sums, in
+    a fresh array, so no block another node reads is written.
 
     Carry rule: an inner node carries its running prefix sum across blocks
     and its block cumsum starts from it (``carry + g[0]`` first, as one
@@ -220,23 +224,18 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     sum unchanged; a value whose summands are all zeros stays a zero, and
     +0 if they all are.
     """
-    trie: dict = {}
-    for chain in chains:
-        node = trie
-        for key in reversed(chain):
-            node = node.setdefault(key, {})
-    wanted = set(chains)
-    # the trie in depth-first preorder: (key, parent's index or -1, is the
-    # parent's last child, the suffix if it is a requested chain, inner)
-    nodes = []
-    stack = [((key,), sub, -1, False) for key, sub in reversed(trie.items())]
-    while stack:
-        suffix, sub, parent, last = stack.pop()
-        here = len(nodes)
-        nodes.append((suffix[0], parent, last, suffix if suffix in wanted else None, bool(sub)))
-        stack.extend(((key,) + suffix, child, here, i == 0)
-                     for i, (key, child) in enumerate(reversed(sub.items())))
-    sums = {chain: [] for chain in wanted}
+    # a path is a suffix read innermost key first; sorted, the paths are the
+    # trie's preorder.  Only zeta_values passes several chains, with int keys;
+    # one chain's paths are prefixes of one another, so mpl_num's complex
+    # letters are never ordered.
+    paths = sorted({chain[j:][::-1] for chain in chains for j in range(len(chain))})
+    index = {path: i for i, path in enumerate(paths)}
+    last_child = {path[:-1]: i for i, path in enumerate(paths)}  # by parent path
+    wanted = {chain[::-1]: chain for chain in chains}
+    # (key, parent's index or -1, is the parent's last child, chain or None, inner)
+    nodes = [(path[-1], index.get(path[:-1], -1), last_child[path[:-1]] == i,
+              wanted.get(path), path in last_child) for i, path in enumerate(paths)]
+    sums = {chain: [] for chain in wanted.values()}
     carries = [0.0] * len(nodes)
     # Block lifetime: the previous block's arrays (``level``'s inputs and
     # ``terms``) are still alive while ``block_terms`` allocates the next

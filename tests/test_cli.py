@@ -225,6 +225,12 @@ class TestRelation:
         data = json.loads(out)
         assert data["source"] == "spitzer(k=2,order=2)"
 
+    def test_empty_relation(self, capsys):
+        argv = ("relation", "--gen", "spitzer", "--k", "2", "--order", "1")
+        assert run(capsys, "--format", "text", *argv) == (0, "0 = 0\n", "")
+        assert run(capsys, *argv) == (
+            0, '{"source": "spitzer(k=2,order=1)", "terms": []}\n', "")
+
     def test_congruence_exit_code(self, capsys):
         code, out, _ = run(
             capsys, "relation", "--gen", "congruence", "--s", "2", "--p", "3"

@@ -199,6 +199,15 @@ class TestFreshmanCongruence:
         with pytest.raises(ValueError):
             congruence_check((2,), 6)
 
+    @pytest.mark.parametrize("check, w, p", [
+        (congruence_check, (0,), 2), (congruence_check, (-1, 2), 3),
+        (congruence_check, (), 2), (freshman_power, (0, 1), 2),
+        (freshman_power, (2.0,), 2),
+    ])
+    def test_non_composition_rejected(self, check, w, p):
+        with pytest.raises(ValueError, match="not a composition"):
+            check(w, p)
+
     def test_takes_no_letter_system(self):
         # its target p*a is the letter p-th power only for composition
         # letters; for q-letters (2,)^2 holds (3,): 1 - q, which mod p

@@ -685,3 +685,12 @@ class TestWalkMemory:
         cfg = EvalConfig(N=N)
         peak = _traced_peak(lambda: zeta_num((2, 2, 2, 2), cfg))
         assert peak < 8 * N
+
+
+@pytest.mark.parametrize("N", [_LEAF, 4 * _LEAF])
+def test_deep_chain_frees_each_prefix_after_its_last_child(N):
+    # a chain of depth 8 holds about 4 blocks; keeping every ancestor's
+    # prefix block alive until its subtree ends would hold about 10
+    block = 8 * _LEAF
+    peak = _traced_peak(lambda: zeta_num((2,) * 8, EvalConfig(N=N)))
+    assert peak <= 5 * block
