@@ -14,20 +14,22 @@ only prefix-sum kernel; ``mpl_num`` and ``qmzv_num`` walk a single chain).
 The walk's preorder is the sorted list of the suffixes read innermost part
 first, in which a suffix's parent is the suffix without its outermost part.
 
-The walk goes block by block over n = 1..N.  The blocks are the leaves of
+The walk goes block by block over n = 1..N.  The leaves are those of
 numpy's pairwise-summation tree cut at ``_LEAF`` elements: numpy splits a
 run of n float64 after h - h % 8 elements (h = n // 2) and a run of n
-complex128 after (n - n % 8) // 2.  In each block the shared inputs (n + x;
-for q-MZVs k and the q-bracket) and each distinct key's term block f_j are
-computed once; every trie node then costs one multiply by its parent's
-prefix sums and, only if a longer suffix extends it, one cumsum, and each
-requested composition one sum.  The bits are those of whole-array
-arithmetic: an inner node carries its running prefix sum from block to
-block and starts its block's cumsum from it, which is the order of one
-long cumsum, and a value adds its block sums back along numpy's tree,
-which is the order of ``terms.sum()``.  No length-N array is allocated:
-at most (max depth + distinct keys + a few) blocks are live, since a
-node's prefix block is freed once its last child has read it.
+complex128 after (n - n % 8) // 2.  A block is a run of whole consecutive
+leaves of at most ``_LEAF`` elements; without a cutoff (below) every leaf
+is longer than half of that, so each block is one leaf.  In each block the
+shared inputs (n + x; for q-MZVs k and the q-bracket) and each distinct
+key's term block f_j are computed once; every trie node then costs one
+multiply by its parent's prefix sums and, only if a longer suffix extends
+it, one cumsum, and each requested composition one sum per leaf.  The bits
+are those of whole-array arithmetic: an inner node carries its running
+prefix sum from block to block and starts its block's cumsum from it,
+which is the order of one long cumsum, and a value adds its leaf sums back
+along numpy's tree, which is the order of ``terms.sum()``.  No length-N
+array is allocated: at most (max depth + distinct keys + a few) blocks are
+live, since a node's prefix block is freed once its last child has read it.
 
 The polylog and q-MZV walks stop early.  Where a power q^(k m) or z^n
 falls below 2^-``_ZERO_BITS`` it is written as +0 without calling ``pow``
@@ -37,9 +39,11 @@ index where the outermost power is zero, every outer summand is that zero
 times finite factors in (0, 1] and prefix sums, so ``_walk`` leaves out
 each subtree of numpy's tree that starts there, and cuts the leaf that
 holds the cutoff along that tree down to one run of numpy's unrolled
-kernel (``_KERNEL``).  So ``mpl_num`` with |z1| < 1 and ``qmzv_num``
-compute their live summands plus less than one kernel run, in at most
-about log2(_LEAF / _KERNEL) extra blocks, whatever N or K is.  Nonzero
+kernel (``_KERNEL``).  Those cut leaves, at most about
+log2(_LEAF / _KERNEL) of them, join one block with each other and any
+earlier leaf that fits.  So ``mpl_num`` with |z1| < 1 and ``qmzv_num``
+compute their live summands plus less than one kernel run, in one block
+when the cutoff lies within ``_LEAF`` elements, whatever N or K is.  Nonzero
 values are unchanged bit for bit, since adding a zero leaves a nonzero
 sum unchanged.  A zero value keeps its sign too for q-MZVs, whose zeros are
 all +0, and does not show it for complex polylogs, which report ``abs``;
@@ -51,6 +55,7 @@ ground truth it is tested against.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,11 +200,14 @@ def _powers(base, e, lo: int, zero_from: int, dtype):
 def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict:
     """``{chain: sum_n g_1(n)}`` for each chain by one walk of the suffix trie.
 
-    A chain lists the per-depth keys outermost first.  Block order: the
-    leaves of numpy's pairwise-sum tree over [0, size) (``_leaves``, split
-    by ``_split`` for ``dtype``), first to last.  ``block_terms(lo, hi)``
-    computes a block's shared inputs once and returns ``level``, mapping a
-    key to its term block f, which is computed once per distinct key.  The
+    A chain lists the per-depth keys outermost first.  Blocks: the leaves
+    of numpy's pairwise-sum tree over [0, size) (``_leaves``, split by
+    ``_split`` for ``dtype``), first to last, consecutive leaves joining
+    one block while it stays within ``_LEAF`` elements; without ``stop``
+    every leaf is longer than half of that, so none join.
+    ``block_terms(lo, hi)`` computes a block's shared inputs once and
+    returns ``level``, mapping a key to its term block f, which is computed
+    once per distinct key.  The
     trie's nodes, the chains' suffixes sorted innermost key first, are then
     visited in that order, depth-first: a node's summands g are f times its
     parent's (its suffix less the outermost key) exclusive prefix sums, in
@@ -208,8 +216,9 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     Carry rule: an inner node carries its running prefix sum across blocks
     and its block cumsum starts from it (``carry + g[0]`` first, as one
     whole-array cumsum adds); the first block has none, so a -0.0 stays.
-    A requested chain keeps one sum per block, added back along the tree,
-    numpy's own order for ``terms.sum()`` (``_tree_sum``).  Hence every
+    A requested chain keeps one sum per leaf, over its slice of the block,
+    and adds them back along the tree, numpy's own order for
+    ``terms.sum()`` (``_tree_sum``).  Hence every
     value is bit-identical to whole-array arithmetic.  No length-``size``
     array is allocated: at most max depth + distinct keys + the shared
     inputs + 1 blocks are live, as a node's prefix block is freed once its
@@ -220,6 +229,9 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     are not visited and each counts as one +0 in the sums, and the leaf
     that holds it is cut down to one kernel run (``_is_leaf``), so the
     blocks cover the live summands and less than one kernel run past them.
+    The cut leaves join one block, so a walk whose live summands and that
+    kernel run fit in ``_LEAF`` elements computes one block, whatever the
+    number of leaves it sums.
     A nonzero value stays bit-identical, as adding a zero leaves a nonzero
     sum unchanged; a value whose summands are all zeros stays a zero, and
     +0 if they all are.
@@ -248,7 +260,14 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     # for that process the two ran equal, which points at freed blocks going
     # back to the system and faulting in again.  A rework of the walk keeps
     # this.
+    blocks = []  # each a run of whole leaves, listed by its bounds
     for lo, hi in _leaves(size, dtype, stop=stop):
+        if blocks and hi - blocks[-1][0] <= _LEAF:
+            blocks[-1].append(hi)
+        else:
+            blocks.append([lo, hi])
+    for bounds in blocks:
+        lo, hi = bounds[0], bounds[-1]
         level = block_terms(lo, hi)
         terms = {}
         # an inner node's buf: buf[:-1] its exclusive prefix sums, buf[-1] its next carry
@@ -270,8 +289,8 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
                 g[:] = f
             else:
                 g = f
-            if chain is not None:
-                sums[chain].append(g.sum())
+            if chain is not None:  # one sum per leaf
+                sums[chain] += [g[a - lo:b - lo].sum() for a, b in zip(bounds, bounds[1:])]
             if inner:
                 buf[0] = carries[i]
                 if lo:
@@ -331,6 +350,9 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     if len(z) != len(s):
         raise ValueError("need one z per exponent")
     z = tuple(complex(w) for w in z)
+    for i, w in enumerate(z, 1):
+        if not cmath.isfinite(w):
+            raise ValueError(f"letter z{i} = {w} is not finite")
     if abs(z[0]) > 1 or (abs(z[0]) == 1 and not (z[0] == 1 and s[0] >= 2)):
         raise ValueError("outer letter violates convergence: need |z1| < 1 "
                          "or z1 = 1 with s1 >= 2")
@@ -346,13 +368,14 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     def block_terms(lo, hi):
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         shifted = n + x
-        # exact ones and zeros, complex128 like cpow's: the term blocks are
-        # summed along numpy's complex tree, which splits unlike the float one
-        z_pow = {w: np.ones(hi - lo, np.complex128) if w == 1
-                 else _powers(w, n, lo, zero_from[w], np.complex128)
-                 for w in zero_from}
+        # exact zeros, and a unit letter's exact ones as the real block cast
+        # to complex128 like cpow's: the term blocks are summed along numpy's
+        # complex tree, which splits unlike the float one
+        z_pow = {w: _powers(w, n, lo, zero_from[w], np.complex128)
+                 for w in zero_from if w != 1}
         s_pow = {sj: shifted ** float(-sj) for sj in set(s)}
-        return lambda key: z_pow[key[1]] * s_pow[key[0]]
+        return lambda key: (s_pow[key[0]].astype(np.complex128) if key[1] == 1
+                            else z_pow[key[1]] * s_pow[key[0]])
 
     chain = tuple(zip(s, z))  # one key (s_j, z_j) per depth
     total = _walk((chain,), cfg.N, np.complex128, block_terms, zero_from[z[0]])[chain]
@@ -378,8 +401,11 @@ def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
 
     def block_terms(lo, hi):
         k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        bracket = (1.0 - powers(k, lo, 1)) / (1.0 - q)
-        return lambda sj: (powers(k, lo, sj - 1) if sj > 1 else 1.0) / bracket**sj
+        q_k = powers(k, lo, 1)
+        bracket = (1.0 - q_k) / (1.0 - q)
+        # q^(k (sj - 1)): q^k is the bracket's own block
+        return lambda sj: (1.0 if sj == 1 else q_k if sj == 2
+                           else powers(k, lo, sj - 1)) / bracket**sj
 
     chain = tuple(s)
     stop = _first_zero((s[0] - 1) * bits, cfg.K)

@@ -27,6 +27,7 @@ from rbmzv.numeric_eval import (
     zeta_num,
     zeta_values,
 )
+from rbmzv import corpus
 from rbmzv import numeric_eval
 from rbmzv.corpus import eval_relation
 from rbmzv.numeric_eval import _KERNEL, _LEAF, _first_zero, _leaves, _tree_sum, _walk
@@ -138,6 +139,16 @@ class TestMplNum:
             mpl_num((2, 1), (0.5, 2.0))
         with pytest.raises(ValueError):
             mpl_num((2, 1), (0.5,))
+
+    @pytest.mark.parametrize("z, bad", [
+        ((0.5, math.nan), "z2"),
+        ((math.nan, 1.0), "z1"),
+        ((0.5, complex(0.1, math.nan)), "z2"),
+    ], ids=["inner", "outer", "complex"])
+    def test_non_finite_letter_named(self, z, bad):
+        # a NaN letter passed the |z| checks and failed in _first_zero
+        with pytest.raises(ValueError, match=f"letter {bad} = .* is not finite"):
+            mpl_num((2, 1), z, EvalConfig(N=10))
 
     def test_complex_inner_letter(self):
         got = mpl_num((2, 1), (0.5, 1j), EvalConfig(N=100))
@@ -420,6 +431,15 @@ class TestCutoff:
         s = (2, 1, 1, 1)
         assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
 
+    # the benchmark's q-MZV strata whose cutoff leaf splits into the most
+    # leaves, all computed in one block
+    @pytest.mark.parametrize("s, leaves", [((2, 1), 5), ((3, 1, 1), 4)], ids=str)
+    def test_qmzv_bitwise_merged_leaves(self, s, leaves):
+        cfg = EvalConfig(K=10**6, q=Fraction(2, 3))
+        stop = _first_zero((s[0] - 1) * -math.log2(2 / 3), cfg.K)
+        assert len(_leaves(cfg.K, np.float64, stop=stop)) == leaves
+        assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
+
 
 def _handed_over(monkeypatch, run):
     """(elements ``_walk`` hands to ``block_terms``, its ``stop``) in ``run()``."""
@@ -461,6 +481,36 @@ class TestCutoffCost:
         N = 10**6
         elements, stop = _handed_over(monkeypatch, lambda: zeta_num((3, 1), EvalConfig(N=N)))
         assert (elements, stop) == (N, math.inf)
+
+    # the leaves that hold an early cutoff share one block; a walk without
+    # a cutoff computes one block per leaf, as the corpus and zeta paths did
+    @pytest.mark.parametrize("run, blocks", [
+        pytest.param(lambda: mpl_num((1, 1, 1), (0.6, 1, 1), EvalConfig(N=10**6)), 1,
+                     id="mpl"),
+        pytest.param(lambda: qmzv_num((2, 1), EvalConfig(K=10**6, q=Fraction(1, 2))), 1,
+                     id="qmzv-1/2"),
+        pytest.param(lambda: qmzv_num((2, 1), EvalConfig(K=10**6, q=Fraction(3, 4))), 1,
+                     id="qmzv-3/4"),
+        pytest.param(lambda: zeta_num((3, 1), EvalConfig(N=10**6)),
+                     len(_leaves(10**6, np.float64)), id="zeta"),
+        pytest.param(lambda: zeta_values(corpus._admissible_compositions(12, 5),
+                                         EvalConfig(N=10**5)),
+                     len(_leaves(10**5, np.float64)), id="corpus"),
+    ])
+    def test_block_count(self, monkeypatch, run, blocks):
+        computed = []
+        walk = numeric_eval._walk
+
+        def counting(chains, size, dtype, block_terms, stop=math.inf):
+            def counted(lo, hi):
+                computed.append((lo, hi))
+                return block_terms(lo, hi)
+
+            return walk(chains, size, dtype, counted, stop)
+
+        monkeypatch.setattr(numeric_eval, "_walk", counting)
+        run()
+        assert len(computed) == blocks
 
 
 class TestPowerPremise:
@@ -547,11 +597,24 @@ def _whole_array_sum(terms, chain):
     return whole.sum()
 
 
+def _runs_of_whole_leaves(blocks, leaves):
+    """Whether ``blocks`` are consecutive runs of whole ``leaves``, each at
+    most ``_LEAF`` long, that together cover exactly the leaves' span."""
+    if not leaves:
+        return blocks == []
+    edges = {lo for lo, _ in leaves} | {leaves[-1][1]}
+    return (bool(blocks) and blocks[0][0] == leaves[0][0]
+            and blocks[-1][1] == leaves[-1][1]
+            and all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            and all({lo, hi} <= edges and 0 < hi - lo <= _LEAF for lo, hi in blocks))
+
+
 class TestBlockWalk:
-    """The walk sums each leaf of numpy's pairwise-summation tree on its own
-    and adds the leaf sums back along that tree, and carries each prefix sum
-    across blocks; its values equal whole-array arithmetic only while numpy
-    reduces in this order."""
+    """The walk computes blocks that are runs of whole leaves of numpy's
+    pairwise-summation tree, at most ``_LEAF`` elements each, sums each leaf
+    on its own and adds the leaf sums back along that tree, and carries each
+    prefix sum across blocks; its values equal whole-array arithmetic only
+    while numpy reduces in this order."""
 
     @given(st.integers(1, 8), st.integers(-24, 24),
            st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1))
@@ -637,7 +700,7 @@ class TestBlockWalk:
                 return lambda key: terms[key][lo:hi].copy()
 
             got = _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop)
-            assert visited == _leaves(n, np.dtype(dtype), stop=stop)
+            assert _runs_of_whole_leaves(visited, _leaves(n, np.dtype(dtype), stop=stop))
             # the leaf holding ``stop`` is cut down to one run of numpy's
             # unrolled kernel: 128 float64 components
             kernel = 128 * 8 // np.dtype(dtype).itemsize
