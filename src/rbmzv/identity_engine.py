@@ -4,7 +4,11 @@ power congruence, all in exact arithmetic.
 
 The congruence rests on ``freshman_power``, the p-th Sha power of a pure
 tensor 1 (x) w over composition letters, computed in one pass over the
-multiset of the p copies' positions.
+multiset of the p copies' positions.  ``congruence_check`` asks for that
+power in F_p, where it is cheap: a step that moves j of the p copies at
+one position has multiplicity C(p, j), which p divides for 0 < j < p, so
+only the step that moves all p copies survives and the recursion reaches
+n = len(w) states instead of every multiset.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ def bohnenblust_spitzer_check(n: int) -> IdentityReport:
     return _element_compare("bohnenblust_spitzer", {"n": n}, lhs, rhs)
 
 
-def freshman_power(w: tuple, p: int) -> dict:
+def freshman_power(w: tuple, p: int, modulus: int | None = None) -> dict:
     """p-th power of the pure tensor 1 (x) w under the Sha product over
     composition letters.
 
@@ -196,6 +200,16 @@ def freshman_power(w: tuple, p: int) -> dict:
     parent's counts, so a copy moved into position i + 1 is not moved again
     in the same step.  Every coefficient is positive, so no term cancels.
     The memo is local to the call.
+
+    With a ``modulus`` the power is taken in Z/modulus: each multiplicity
+    is reduced and a step whose multiplicity is 0 is skipped, and each
+    state's combination is reduced after its steps, dropping every word
+    whose coefficient is 0 (``_prepend`` drops only exact zeros), so every
+    coefficient returned lies in 1..modulus - 1.  At ``modulus=p`` the
+    start state holds all p copies at position 0, and C(p, j) = 0 mod p
+    for 0 < j < p, so only the step that moves all p copies survives; its
+    child holds them all at position 1, and so on: the recursion visits n
+    states and returns {(p*w1, ..., p*wn): 1}.
     """
     _check_prime(p)
     w = tuple(w)
@@ -214,11 +228,17 @@ def freshman_power(w: tuple, p: int) -> dict:
             if not any(js):
                 continue
             mult = math.prod(map(math.comb, counts, js))
+            if modulus is not None:
+                mult %= modulus
+                if not mult:
+                    continue
             child = tuple(
                 counts[i] - js[i] + (js[i - 1] if i else 0) for i in range(n)
             )
             head = (sum(map(operator.mul, js, w)),)
             _prepend(out, head, rec(child), mult)
+        if modulus is not None:
+            out = {u: c % modulus for u, c in out.items() if c % modulus}
         memo[counts] = out
         return out
 
@@ -240,8 +260,9 @@ def _mod_p_failure(power: dict, target: tuple, p: int) -> str | None:
 
 def congruence_check(w: tuple, p: int) -> IdentityReport:
     """Check (a1 (x) ... (x) an)^p = a1^p (x) ... (x) an^p mod p for
-    composition letters, whose p-th power is p*a."""
-    power = freshman_power(w, p)
+    composition letters, whose p-th power is p*a; the power is taken in
+    F_p."""
+    power = freshman_power(w, p, modulus=p)
     w = tuple(w)
     target = tuple(p * a for a in w)
     bad = _mod_p_failure(power, target, p)

@@ -27,7 +27,9 @@ For equal exponents (k, ..., k) the left side is n! zeta(k, ..., k), so
 Spitzer's relation is the partition sum divided by n!.  The congruence
 generator takes zeta(s)^p from ``identity_engine.freshman_power``, the
 p-th Sha power of 1 (x) s, which for composition letters is the stuffle
-power.
+power; it keeps the integer power, not the F_p one ``congruence_check``
+takes, because the relation prints every word of the power with its
+integer coefficient.
 """
 
 from __future__ import annotations

@@ -406,6 +406,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verdict"] == "equal"
 
+    def test_congruence_seventh_power_of_a_triple(self, capsys):
+        # taken in F_p; the integer 7th power of (1, 2, 3) exhausts memory
+        code, out, _ = run(capsys, "verify", "congruence", "--word", "1,2,3", "--p", "7")
+        assert code == 0
+        assert out == (
+            '{"lhs": "(1(x)(1, 2, 3))^7 mod 7", "name": "congruence", '
+            '"params": {"p": 7, "word": [1, 2, 3]}, '
+            '"rhs": "1(x)(7, 14, 21) mod 7", "verdict": "equal"}\n'
+        )
+
     def test_bad_subject_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 2

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from rbmzv import identity_engine
 from rbmzv.cli import canonical_json
 from rbmzv.coefficients import ONE_MINUS_Q
 from rbmzv.identity_engine import (
@@ -172,6 +174,17 @@ SHORT_POWERS = [
 ]
 
 
+# every word of 1-3 parts from 1-4 at p = 2 and 3, of 1-2 parts at p = 5,
+# and two pairs at p = 7; the integer power of a 3-part word at p = 5 takes
+# about 2 s, so those 64 words stay out
+MODULAR_POWERS = [
+    (p, w)
+    for p, lengths in ((2, (1, 2, 3)), (3, (1, 2, 3)), (5, (1, 2)))
+    for n in lengths
+    for w in itertools.product(range(1, 5), repeat=n)
+] + [(7, (1, 2)), (7, (2, 3))]
+
+
 class TestFreshmanCongruence:
     def test_square_of_single_monomial(self):
         # (1 (x) a)^2 = 2 (1 (x) a (x) a) + 1 (x) a^2, for the letter a = 1
@@ -230,6 +243,27 @@ class TestFreshmanCongruence:
     def test_seventh_power_of_a_pair(self, w, terms):
         assert congruence_check(w, 7).equal
         assert len(freshman_power(w, 7)) == terms
+
+    @pytest.mark.parametrize("p, w", MODULAR_POWERS)
+    def test_power_mod_p_equals_integer_power_reduced(self, p, w):
+        power = freshman_power(w, p, modulus=p)
+        assert power == {u: c % p for u, c in freshman_power(w, p).items() if c % p}
+        assert all(1 <= c <= p - 1 for c in power.values())
+
+    def test_power_mod_p_visits_one_state_per_position(self, monkeypatch):
+        # C(7, j) = 0 mod 7 for 0 < j < 7, so each of the 5 states takes one
+        # step; the integer power of this word runs out of memory
+        calls = []
+        prepend = identity_engine._prepend
+
+        def counting(*args):
+            calls.append(args)
+            prepend(*args)
+
+        monkeypatch.setattr(identity_engine, "_prepend", counting)
+        power = freshman_power((1, 2, 3, 4, 5), 7, modulus=7)
+        assert power == {(7, 14, 21, 28, 35): 1}
+        assert len(calls) <= 5
 
     def test_mod_p_failure_reports_sorted_first_word(self):
         # two failing words, inserted in the reverse of their sorted order
