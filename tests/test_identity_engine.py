@@ -174,15 +174,20 @@ SHORT_POWERS = [
 ]
 
 
-# every word of 1-3 parts from 1-4 at p = 2 and 3, of 1-2 parts at p = 5,
-# and two pairs at p = 7; the integer power of a 3-part word at p = 5 takes
-# about 2 s, so those 64 words stay out
+# (p, w, modulus): every word of 1-3 parts from 1-4 at p = 2 and 3, of 1-2
+# parts at p = 5, and two pairs at p = 7, all mod p (the integer power of a
+# 3-part word at p = 5 takes about 2 s, so those 64 words stay out); then a
+# few moduli other than p, which keep mixed states alive, whose sums the
+# recursion must reduce after its steps
 MODULAR_POWERS = [
-    (p, w)
+    (p, w, p)
     for p, lengths in ((2, (1, 2, 3)), (3, (1, 2, 3)), (5, (1, 2)))
     for n in lengths
     for w in itertools.product(range(1, 5), repeat=n)
-] + [(7, (1, 2)), (7, (2, 3))]
+] + [(7, (1, 2), 7), (7, (2, 3), 7)] + [
+    (2, (1, 2, 3), 3), (3, (1, 2), 2), (3, (2, 1, 3), 4), (3, (1, 2), 9),
+    (5, (1, 2), 25), (5, (3,), 7),
+]
 
 
 class TestFreshmanCongruence:
@@ -244,26 +249,30 @@ class TestFreshmanCongruence:
         assert congruence_check(w, 7).equal
         assert len(freshman_power(w, 7)) == terms
 
-    @pytest.mark.parametrize("p, w", MODULAR_POWERS)
-    def test_power_mod_p_equals_integer_power_reduced(self, p, w):
-        power = freshman_power(w, p, modulus=p)
-        assert power == {u: c % p for u, c in freshman_power(w, p).items() if c % p}
-        assert all(1 <= c <= p - 1 for c in power.values())
+    @pytest.mark.parametrize("p, w, modulus", MODULAR_POWERS)
+    def test_power_mod_m_equals_integer_power_reduced(self, p, w, modulus):
+        power = freshman_power(w, p, modulus=modulus)
+        assert power == {
+            u: c % modulus for u, c in freshman_power(w, p).items() if c % modulus
+        }
+        assert all(1 <= c <= modulus - 1 for c in power.values())
 
     def test_power_mod_p_visits_one_state_per_position(self, monkeypatch):
         # C(7, j) = 0 mod 7 for 0 < j < 7, so each of the 5 states takes one
-        # step; the integer power of this word runs out of memory
-        calls = []
+        # step; the integer power of this word runs out of memory, so the
+        # counter stops a recursion that takes more steps before it does
+        calls = 0
         prepend = identity_engine._prepend
 
         def counting(*args):
-            calls.append(args)
+            nonlocal calls
+            calls += 1
+            assert calls <= 5, "more than one step per position"
             prepend(*args)
 
         monkeypatch.setattr(identity_engine, "_prepend", counting)
         power = freshman_power((1, 2, 3, 4, 5), 7, modulus=7)
         assert power == {(7, 14, 21, 28, 35): 1}
-        assert len(calls) <= 5
 
     def test_mod_p_failure_reports_sorted_first_word(self):
         # two failing words, inserted in the reverse of their sorted order
