@@ -28,10 +28,11 @@ from .mzv_calculus import Relation, composition_str, is_admissible, parse_compos
 from .tensor_algebra import mixable_shuffle
 
 
-def canonical_json(obj) -> str:
+def canonical_json(obj, texts=None) -> str:
     """Deterministic JSON with floats at 17 significant digits; a float
     that is not finite has no JSON form and raises ``ValueError``.  A
-    ``Relation`` renders as its ``json_text``."""
+    ``Relation`` renders as its ``json_text``, through the monomial text
+    cache ``texts`` if one is given."""
     # one encoder per call: json.dumps with a keyword builds one per string
     encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -58,7 +59,7 @@ def canonical_json(obj) -> str:
                 f"{encode_str(str(k))}: {render(v)}" for k, v in items
             ) + "}"
         if isinstance(obj, Relation):
-            return obj.json_text()
+            return obj.json_text(texts)
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
     return render(obj)
@@ -252,8 +253,9 @@ def cmd_corpus(args) -> int:
     # opened first, so an unwritable path fails before the build runs
     with open(args.out, "w", encoding="utf-8") as fh:
         written = failed = 0
+        texts: dict = {}  # one monomial text cache for the build's relations
         for e in build_corpus(args.max_weight, args.max_depth):
-            fh.write(canonical_json(e) + "\n")
+            fh.write(canonical_json(e, texts) + "\n")
             written += 1
             failed += not e["verified"]
     print(f"wrote {written} entries to {args.out}; {failed} failed verification")

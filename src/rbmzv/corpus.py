@@ -1,7 +1,10 @@
 """The golden relation corpus, one relation alive at a time: the keys,
 listed without numpy or any product (``corpus_relations``), then one
 ``zeta_values`` walk over the bounds, then per key one relation built,
-evaluated and yielded as a nine-key entry (``build_corpus``)."""
+evaluated and yielded as a nine-key entry (``build_corpus``).  The double
+shuffles of one build share one stuffle memo and one shuffle memo, since
+their suffix subproblems repeat from pair to pair; ``cli.cmd_corpus``
+renders the build's relations through one monomial text cache."""
 
 import itertools
 from functools import partial
@@ -101,14 +104,18 @@ def build_corpus(max_weight: int, max_depth: int):
     order.  One ``zeta_values`` walk at ``numeric_eval.EvalConfig()``, whose
     N each numeric entry records, covers every admissible composition
     within the bounds, and so every relation's; then each relation is built,
-    evaluated and yielded before the next is built."""
+    evaluated and yielded before the next is built.  The double shuffles
+    are built through one stuffle memo and one shuffle memo, which live
+    for this build; neither keeps a pair's own product, so the memos hold
+    subproblems only."""
     # imported here, so that listing the relations loads no numpy
     from .numeric_eval import EvalConfig, zeta_values
 
     cfg = EvalConfig()
     values = zeta_values(_admissible_compositions(max_weight, max_depth), cfg)
+    memos = {"stuffle_memo": {}, "shuffle_memo": {}}
     for weight, generator, params, make in corpus_relations(max_weight, max_depth):
-        rel = make()
+        rel = make(**memos) if generator == "doubleshuffle" else make()
         if isinstance(rel, Relation):
             residual = eval_relation(rel, values)
             verified, mode = residual <= RESIDUAL_TOL, "numeric"

@@ -83,11 +83,12 @@ def composition_str(s: Composition) -> str:
     return ",".join(str(p) for p in s)
 
 
-def stuffle(a: Composition, b: Composition) -> ZetaCombo:
-    """Quasi-shuffle (weight-1 mixable shuffle) of compositions."""
+def stuffle(a: Composition, b: Composition, memo=None) -> ZetaCombo:
+    """Quasi-shuffle (weight-1 mixable shuffle) of compositions; ``memo``, a
+    stuffle memo shared by many calls, is ``mixable_shuffle``'s."""
     check_composition(a)
     check_composition(b)
-    return mixable_shuffle(COMPOSITION, a, b, 1)
+    return mixable_shuffle(COMPOSITION, a, b, 1, memo)
 
 
 def _count_paths(x, y):
@@ -130,15 +131,23 @@ def q_stuffle(a: Composition, b: Composition) -> ZetaCombo:
     return out
 
 
-def shuffle_zeta(a: Composition, b: Composition) -> ZetaCombo:
+def shuffle_zeta(a: Composition, b: Composition, memo=None) -> ZetaCombo:
     """Shuffle product of zeta(a) and zeta(b), from their iterated integrals.
 
     It is the shuffle of the words x0^(s1-1) x1 ... x0^(sn-1) x1, run on
-    compositions part by part (``_shuffle_parts``).
+    compositions part by part (``_shuffle_parts``).  ``memo`` is that
+    recursion's; by default the call makes its own.  A memo shared by
+    several calls keeps their subproblems but not the pair (a, b) itself,
+    so the returned dict is the caller's to change.
     """
     require_admissible(a)
     require_admissible(b)
-    return _shuffle_parts(tuple(a), tuple(b), {})
+    a, b = tuple(a), tuple(b)
+    if memo is None:
+        memo = {}
+    out = _shuffle_parts(a, b, memo)
+    memo.pop((a, b), None)
+    return out
 
 
 def _shuffle_parts(a, b, memo):
@@ -154,7 +163,8 @@ def _shuffle_parts(a, b, memo):
     where (h) . S puts the part h in front of every composition of S, and
     sha(a, ()) = a, sha((), b) = b.  ``memo`` maps a pair of what is left of
     a and b (suffixes whose first part may be cut down) to its result; it
-    lives for one top-level product.
+    serves only this shuffle, for one top-level product or, shared, for
+    many (``shuffle_zeta``).
     """
     if not a:
         return {b: 1}
@@ -215,14 +225,23 @@ class Relation:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def json_text(self) -> str:
+    def json_text(self, texts=None) -> str:
         """``{"source": ..., "terms": [{"coef": ..., "monomial": ...}, ...]}``
-        with ``cli.canonical_json``'s sorted keys and separators."""
-        # str of a list of int lists is its JSON text, with ", " separators
-        terms = ", ".join(
-            f'{{"coef": "{c!s}", "monomial": {[list(comp) for comp in m]!s}}}'
-            for m, c in self.terms
-        )
+        with ``cli.canonical_json``'s sorted keys and separators.
+
+        ``texts`` maps a monomial to its JSON text; by default the call
+        makes its own, and a corpus build shares one across its relations,
+        whose monomials repeat."""
+        if texts is None:
+            texts = {}
+        parts = []
+        for m, c in self.terms:
+            text = texts.get(m)
+            if text is None:
+                # str of a list of int lists is its JSON text, with ", " separators
+                text = texts[m] = str([list(comp) for comp in m])
+            parts.append(f'{{"coef": "{c!s}", "monomial": {text}}}')
+        terms = ", ".join(parts)
         return f'{{"source": {encode_basestring(self.source)}, "terms": [{terms}]}}'
 
     @classmethod
@@ -238,15 +257,21 @@ def _mono(*comps) -> Monomial:
     return tuple(sorted(comps))
 
 
-def double_shuffle_relation(a: Composition, b: Composition) -> Relation:
-    """stuffle(a, b) - shuffle(a, b) = 0, in single zeta symbols."""
+def double_shuffle_relation(a: Composition, b: Composition,
+                            stuffle_memo=None, shuffle_memo=None) -> Relation:
+    """stuffle(a, b) - shuffle(a, b) = 0, in single zeta symbols.
+
+    ``stuffle_memo`` and ``shuffle_memo`` go to ``stuffle`` and
+    ``shuffle_zeta``; a corpus build passes one of each to all its pairs.
+    """
     require_admissible(a)
     require_admissible(b)
-    terms = stuffle(a, b)  # a fresh dict, merged into in place
-    _prepend(terms, (), shuffle_zeta(a, b), -1)
+    # the caller's own dict, since no memo keeps a top-level product
+    terms = stuffle(a, b, stuffle_memo)
+    _prepend(terms, (), shuffle_zeta(a, b, shuffle_memo), -1)
     # both products count paths, so every coefficient is already an int
     return Relation(
-        tuple(((c,), v) for c, v in sorted(terms.items())),
+        tuple([((c,), v) for c, v in sorted(terms.items())]),
         f"double_shuffle({composition_str(a)}|{composition_str(b)})",
     )
 

@@ -10,10 +10,12 @@ is the unit letter of the unitarization of A.
 
 Hoffman's quasi-shuffle is the weight-1 mixable shuffle,
 ``mixable_shuffle(system, a, b, 1)``.  The mixable shuffle and the Sha(A)
-product share one recursion, ``_msh``.  Its memo is created by each
-top-level product and lives only for that product, so it is keyed on the
-suffix pair alone and can never return a result computed for another
-letter system or weight.  ``mixable_shuffle`` of a word a of at least 4
+product share one recursion, ``_msh``.  Its memo is keyed on the suffix
+pair alone, so one memo may serve only one letter system and weight.  Each
+top-level product makes its own memo unless the caller passes one, as a
+corpus build passes one to all its stuffles; a passed memo keeps the
+subproblems but never the top-level product, so the caller owns the dict
+it gets back.  ``mixable_shuffle`` of a word a of at least 4
 letters by a word b of at least 2 does not run ``_msh`` on the whole pair:
 it cuts a in the middle and joins the two halves' products, both from
 ``_msh`` with one memo, so that it builds about one word tuple per
@@ -64,8 +66,14 @@ def _unit_product(system: LetterSystem, x, y):
     return system.product(x, y)
 
 
-def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb:
+def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1,
+                    memo=None) -> LinComb:
     """Mixable shuffle of weight ``weight``, joined from two halves of a.
+
+    ``memo`` maps suffix pairs to their products under this ``system`` and
+    ``weight`` only; by default the call makes its own.  A memo shared by
+    several calls keeps their subproblems but not the pair (a, b) itself,
+    so the returned dict is the caller's to change.
 
     Cut a at c = len(a) // 2.  A path through the grid of the four-case
     recursion enters column c exactly once: by taking a[c-1] alone after
@@ -93,12 +101,16 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1) -> LinComb
       at 7x7
     """
     a, b = tuple(a), tuple(b)
+    if memo is None:
+        memo = {}
     if len(a) < 4 or len(b) < 2:
-        return _msh(system, a, b, weight, {})
+        out = _msh(system, a, b, weight, memo)
+        # popped, so the caller owns the result and no memo keeps a top-level product
+        memo.pop((a, b), None)
+        return out
     c, n = len(a) // 2, len(b)
     last, head, tail = a[c - 1], a[:c - 1][::-1], a[c:]
     rb = b[::-1]  # rb[n - j:] is b[:j] reversed
-    memo: dict = {}
     out: dict = {}
     for j in range(n + 1):
         pre: dict = {}  # the prefixes, reversed

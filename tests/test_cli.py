@@ -534,9 +534,9 @@ class TestCorpus:
         calls = Counter()
 
         def counting(name, generator):
-            def counted(*args):
+            def counted(*args, **memos):  # the double shuffles get the build's memos
                 calls[name, args] += 1
-                return generator(*args)
+                return generator(*args, **memos)
             return counted
 
         for name in ("double_shuffle_relation", "hoffman_partition_relation",

@@ -310,6 +310,44 @@ class TestDoubleShuffle:
             assert rel.terms
             assert all(type(c) is int and c for _, c in rel.terms), rel.source
 
+    # 12/6 holds pairs whose stuffle runs mixable_shuffle's join (a of at
+    # least 4 parts, b of at least 2), as (2, 1, 1, 1) | (3, 1) does.  In
+    # corpus order no pair is in a memo before its own product, since every
+    # subproblem weighs less; heaviest first, many are
+    @pytest.mark.parametrize("bounds, joins", [((12, 5), False), ((12, 6), True)],
+                             ids=["12-5", "12-6"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["corpus-order", "heaviest-first"])
+    def test_shared_memos_give_fresh_relations(self, bounds, joins, order):
+        # one build's memos and text cache, shared by every pair, and each
+        # pair built twice in a row: a dict merged into while a memo holds
+        # it would change a later relation
+        pairs = [make.args for _, gen, _, make in corpus_relations(*bounds)
+                 if gen == "doubleshuffle"]
+        assert any(len(a) >= 4 and len(b) >= 2 for a, b in pairs) == joins
+        stuffle_memo, shuffle_memo, texts = {}, {}, {}
+        for a, b in pairs[::order]:
+            fresh = double_shuffle_relation(a, b)
+            for _ in range(2):
+                rel = double_shuffle_relation(a, b, stuffle_memo, shuffle_memo)
+                assert rel == fresh, (a, b)
+                assert rel.json_text(texts) == fresh.json_text(), (a, b)
+                assert (a, b) not in stuffle_memo and (a, b) not in shuffle_memo
+
+    def test_shared_memos_keep_no_top_level_product(self):
+        # a memo may hold a pair another product needed, but never the
+        # dict a top-level call handed back: that is the caller's to change
+        pairs = [make.args for _, gen, _, make in corpus_relations(12, 6)
+                 if gen == "doubleshuffle"]
+        stuffle_memo, shuffle_memo = {}, {}
+        products = []
+        for a, b in pairs[::-1]:
+            products.append(stuffle(a, b, stuffle_memo))
+            products.append(shuffle_zeta(a, b, shuffle_memo))
+            assert (a, b) not in stuffle_memo and (a, b) not in shuffle_memo
+        returned = {id(p) for p in products}
+        for memo in (stuffle_memo, shuffle_memo):
+            assert memo and not returned & {id(v) for v in memo.values()}
+
     def test_stuffle_terms_cancel(self):
         # compositions appearing in both expansions partially cancel
         r = double_shuffle_relation((2,), (2,))

@@ -203,7 +203,7 @@ def test_every_definition_has_a_caller():
 # --- the runtime check ----------------------------------------------------------
 
 #: the verify modes the README shows no example of
-OTHER_VERIFY_MODES = ("expstar", "congruence", "zrb", "integration")
+OTHER_VERIFY_MODES = ("expstar", "zrb", "integration")
 #: caps on the benchmark ops' numeric truncations N and K and on their corpus
 #: build weight: a capped op runs the same code in a fraction of the time
 MAX_TRUNCATION = 200_000
@@ -220,6 +220,11 @@ def _readme_commands():
             if words[:1] == ["rbmzv"]:
                 commands.append(words[1:])
     return commands
+
+
+def test_other_verify_modes_have_no_readme_example():
+    shown = {argv[1] for argv in _readme_commands() if argv[:1] == ["verify"]}
+    assert not shown & set(OTHER_VERIFY_MODES)
 
 
 def _run_cli(cli, argv):
