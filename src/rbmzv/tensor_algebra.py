@@ -105,7 +105,6 @@ def mixable_shuffle(system: LetterSystem, a: Word, b: Word, weight=1,
         memo = {}
     if len(a) < 4 or len(b) < 2:
         out = _msh(system, a, b, weight, memo)
-        # popped, so the caller owns the result and no memo keeps a top-level product
         memo.pop((a, b), None)
         return out
     c, n = len(a) // 2, len(b)
