@@ -13,11 +13,11 @@ digits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import identity_engine, mzv_calculus as mzv, operator_gallery as ops
 from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
@@ -29,12 +29,11 @@ from .tensor_algebra import mixable_shuffle
 
 
 def canonical_json(obj, texts=None) -> str:
-    """Deterministic JSON with floats at 17 significant digits; a float
-    that is not finite has no JSON form and raises ``ValueError``.  A
-    ``Relation`` renders as its ``json_text``, through the monomial text
-    cache ``texts`` if one is given."""
-    # one encoder per call: json.dumps with a keyword builds one per string
-    encode_str = json.JSONEncoder(ensure_ascii=False).encode
+    """Deterministic JSON with floats at 17 significant digits, always in a
+    float form (``0.0``, not ``0``); a float that is not finite has no JSON
+    form and raises ``ValueError``.  A ``Relation`` renders as its
+    ``json_text``, through the monomial text cache ``texts`` if one is
+    given."""
 
     def render(obj) -> str:
         if obj is None:
@@ -46,17 +45,18 @@ def canonical_json(obj, texts=None) -> str:
         if isinstance(obj, float):
             if not math.isfinite(obj):
                 raise ValueError(f"cannot render the non-finite float {obj!r} as JSON")
-            return f"{obj:.17g}"
+            text = f"{obj:.17g}"
+            return text if "." in text or "e" in text else text + ".0"
         if isinstance(obj, int):
             return str(obj)
         if isinstance(obj, str):
-            return encode_str(obj)
+            return encode_basestring(obj)
         if isinstance(obj, (list, tuple)):
             return "[" + ", ".join(render(v) for v in obj) + "]"
         if isinstance(obj, dict):
             items = sorted(obj.items())
             return "{" + ", ".join(
-                f"{encode_str(str(k))}: {render(v)}" for k, v in items
+                f"{encode_basestring(str(k))}: {render(v)}" for k, v in items
             ) + "}"
         if isinstance(obj, Relation):
             return obj.json_text(texts)

@@ -264,11 +264,10 @@ def double_shuffle_relation(a: Composition, b: Composition,
     ``stuffle_memo`` and ``shuffle_memo`` go to ``stuffle`` and
     ``shuffle_zeta``; a corpus build passes one of each to all its pairs.
     """
-    require_admissible(a)
-    require_admissible(b)
+    shuffle = shuffle_zeta(a, b, shuffle_memo)  # requires a, then b, admissible
     # the caller's own dict, since no memo keeps a top-level product
     terms = stuffle(a, b, stuffle_memo)
-    _prepend(terms, (), shuffle_zeta(a, b, shuffle_memo), -1)
+    _prepend(terms, (), shuffle, -1)
     # both products count paths, so every coefficient is already an int
     return Relation(
         tuple([((c,), v) for c, v in sorted(terms.items())]),

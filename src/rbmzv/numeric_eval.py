@@ -14,41 +14,33 @@ only prefix-sum kernel; ``mpl_num`` and ``qmzv_num`` walk a single chain).
 The walk's preorder is the sorted list of the suffixes read innermost part
 first, in which a suffix's parent is the suffix without its outermost part.
 
-The walk goes block by block over n = 1..N.  The leaves are those of
-numpy's pairwise-summation tree cut at ``_LEAF`` elements: numpy splits a
-run of n float64 after h - h % 8 elements (h = n // 2) and a run of n
-complex128 after (n - n % 8) // 2.  A block is a run of whole consecutive
-leaves of at most ``_LEAF`` elements; without a cutoff (below) every leaf
-is longer than half of that, so each block is one leaf.  In each block the
-shared inputs (n + x; for q-MZVs k and the q-bracket) and each distinct
-key's term block f_j are computed once; every trie node then costs one
-multiply by its parent's prefix sums and, only if a longer suffix extends
-it, one cumsum, and each requested composition one sum per leaf.  The bits
-are those of whole-array arithmetic: an inner node carries its running
-prefix sum from block to block and starts its block's cumsum from it,
-which is the order of one long cumsum, and a value adds its leaf sums back
-along numpy's tree, which is the order of ``terms.sum()``.  No length-N
-array is allocated: at most (max depth + distinct keys + a few) blocks are
-live, since a node's prefix block is freed once its last child has read it.
+The walk goes block by block over n = 1..N, in ceil(N / ``_LEAF``) blocks
+of equal length (to within one element).  In each block the shared inputs
+(n + x; for q-MZVs k and the q-bracket) and each distinct key's term block
+f_j are computed once; every trie node then costs one multiply by its
+parent's prefix sums and, only if a longer suffix extends it, one cumsum,
+and each requested composition one numpy sum.  An inner node carries its
+running prefix sum from block to block and starts its block's cumsum from
+it, which is the order of one long cumsum.  A value is ``math.fsum`` of
+its block sums, their exactly rounded sum (Shewchuk, Adaptive Precision
+Floating-Point Arithmetic, DCG 18, 1997), with the real and imaginary
+parts of a complex walk added apart.  So the bits depend on ``_LEAF`` and
+on numpy's sum of one block, not on how numpy would reduce a whole array.
+No length-N array is allocated: at most (max depth + distinct keys + a
+few) blocks are live, since a node's prefix block is freed once its last
+child has read it.  ``mpl_num`` walks in float64 when every letter is real
+and in complex128 otherwise.
 
 The polylog and q-MZV walks stop early.  Where a power q^(k m) or z^n
 falls below 2^-``_ZERO_BITS`` it is written as +0 without calling ``pow``
 or ``cpow``, which return an exact zero there anyway, and a power of a
-letter equal to 1 (or q^0) is written as an exact 1.  From the first
-index where the outermost power is zero, every outer summand is that zero
-times finite factors in (0, 1] and prefix sums, so ``_walk`` leaves out
-each subtree of numpy's tree that starts there, and cuts the leaf that
-holds the cutoff along that tree down to one run of numpy's unrolled
-kernel (``_KERNEL``).  Those cut leaves, at most about
-log2(_LEAF / _KERNEL) of them, join one block with each other and any
-earlier leaf that fits.  So ``mpl_num`` with |z1| < 1 and ``qmzv_num``
-compute their live summands plus less than one kernel run, in one block
-when the cutoff lies within ``_LEAF`` elements, whatever N or K is.  Nonzero
-values are unchanged bit for bit, since adding a zero leaves a nonzero
-sum unchanged.  A zero value keeps its sign too for q-MZVs, whose zeros are
-all +0, and does not show it for complex polylogs, which report ``abs``;
-for a real polylog whose summands are all zeros the sign bit rests on
-the bitwise tests, which compare it.
+letter equal to 1 (or q^0) is never computed.  From the first index where
+the outermost power is zero, every outer summand is that zero times finite
+factors in (0, 1] and prefix sums, so ``_walk``'s blocks cover only the
+indices before it.  ``mpl_num`` with |z1| < 1 and ``qmzv_num`` thus
+compute their live summands alone, in one block when there are at most
+``_LEAF`` of them, whatever N or K is.  Every zero value is +0, as
+``fsum`` returns for an exact zero.
 The naive O(N^k) loop in exact rationals (``nested_sum_oracle``) is the
 ground truth it is tested against.
 """
@@ -106,69 +98,17 @@ class EvalResult:
         return {"value": self.value, "tail_bound": self.tail_bound}
 
 
-#: Elements per block of the walk, where it stops cutting numpy's
-#: pairwise-sum tree.  Measured on a 2-CPU Xeon with numpy 2.4.6, two runs
-#: each, at leaf sizes 2^12 .. 2^17: the corpus's 12 builds' walks
-#: (N = 1e5) took 2.4, 1.8-1.9, 1.5-1.7, 1.65-1.9, 1.8-2.3 and 2.6-3.0 s,
-#: zeta (2,2,2,2) at N = 1e7 took 375, 300, 255, 220-250, 255-275 and
-#: 290-330 ms.  Smaller blocks pay numpy's per-call cost more often;
-#: larger ones fall out of the cache.  Every size gives the same bits.
-_LEAF = 1 << 15
-
-
-def _split(n: int, dtype) -> int:
-    """Where numpy's pairwise sum splits a run of n elements: its kernel
-    halves the run rounded down to its 8-way unroll, counted in float64
-    components, so a complex128 run splits after (n - n % 8) // 2."""
-    if dtype == np.complex128:
-        return (n - n % 8) // 2
-    h = n // 2
-    return h - h % 8
-
-
-#: float64 components numpy's pairwise sum adds in one unrolled loop, its
-#: PW_BLOCKSIZE: 128 float64 or 64 complex128 elements.  numpy never splits
-#: a run this short, so neither may the walk.
-_KERNEL = 128
-
-
-def _is_leaf(lo: int, n: int, dtype, stop: float) -> bool:
-    """Whether the walk sums the run ``[lo, lo + n)`` as one block: it is at
-    most ``_LEAF`` long and either ends by ``stop`` or fits numpy's unrolled
-    kernel, so a leaf holding the cutoff is split down to one kernel run."""
-    components = 2 * n if dtype == np.complex128 else n
-    return n <= _LEAF and (lo + n <= stop or components <= _KERNEL)
-
-
-def _leaves(n: int, dtype, lo: int = 0, stop: float = math.inf) -> list:
-    """The ``[lo, hi)`` runs, in order, at which ``_is_leaf`` stops cutting
-    numpy's pairwise-sum tree over n elements, leaving out every subtree
-    that starts at or after ``stop``."""
-    if lo >= stop:
-        return []
-    if _is_leaf(lo, n, dtype, stop):
-        return [(lo, lo + n)]
-    h = _split(n, dtype)
-    return _leaves(h, dtype, lo, stop) + _leaves(n - h, dtype, lo + h, stop)
-
-
-def _tree_sum(sums: list, n: int, dtype, stop: float = math.inf):
-    """Add the leaves' sums back along the tree ``_leaves`` cut them from;
-    this is ``terms.sum()`` of the whole array, bit for bit, since both
-    stop cutting where ``_is_leaf`` says.  A subtree ``_leaves`` left out
-    counts as one +0."""
-    sums = iter(sums)
-    zero = np.dtype(dtype).type(0)
-
-    def node(lo, n):
-        if lo >= stop:
-            return zero
-        if _is_leaf(lo, n, dtype, stop):
-            return next(sums)
-        h = _split(n, dtype)
-        return node(lo, h) + node(lo + h, n - h)
-
-    return node(0, n)
+#: Most elements per block of the walk.  Measured on a shared 2-CPU Xeon
+#: with numpy 2.4.6, 2-5 processes per size, at sizes 2^12 .. 2^17: the
+#: corpus's 12 builds' walks (N = 1e5) took 1.29-1.33, 1.13-1.14,
+#: 1.02-1.31, 1.17-1.62, 1.39-1.77 and 1.73-2.03 s, zeta (2,2,2,2) at
+#: N = 1e7 took 196-215, 180-184, 159-176, 166-193, 222-287 and 224-247 ms;
+#: zeta (3,1,1) at N = 1e7 took 143-149 ms at 2^14 against 165-213 ms at
+#: 2^15 (three processes each).  Smaller blocks pay numpy's per-call cost
+#: more often; larger ones fall out of the cache.  Each size gives its own
+#: last bits, since a value is the sum of its block sums: changing it
+#: changes ``eval``'s and the corpus's bytes.
+_LEAF = 1 << 14
 
 
 #: Bits past which a power is written as an exact +0 without calling
@@ -200,11 +140,9 @@ def _powers(base, e, lo: int, zero_from: int, dtype):
 def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict:
     """``{chain: sum_n g_1(n)}`` for each chain by one walk of the suffix trie.
 
-    A chain lists the per-depth keys outermost first.  Blocks: the leaves
-    of numpy's pairwise-sum tree over [0, size) (``_leaves``, split by
-    ``_split`` for ``dtype``), first to last, consecutive leaves joining
-    one block while it stays within ``_LEAF`` elements; without ``stop``
-    every leaf is longer than half of that, so none join.
+    A chain lists the per-depth keys outermost first.  Blocks: [0, end),
+    end = min(size, stop), cut into k = ceil(end / ``_LEAF``) blocks
+    [end * i // k, end * (i + 1) // k), first to last.
     ``block_terms(lo, hi)`` computes a block's shared inputs once and
     returns ``level``, mapping a key to its term block f, which is computed
     once per distinct key.  The
@@ -216,25 +154,16 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     Carry rule: an inner node carries its running prefix sum across blocks
     and its block cumsum starts from it (``carry + g[0]`` first, as one
     whole-array cumsum adds); the first block has none, so a -0.0 stays.
-    A requested chain keeps one sum per leaf, over its slice of the block,
-    and adds them back along the tree, numpy's own order for
-    ``terms.sum()`` (``_tree_sum``).  Hence every
-    value is bit-identical to whole-array arithmetic.  No length-``size``
-    array is allocated: at most max depth + distinct keys + the shared
-    inputs + 1 blocks are live, as a node's prefix block is freed once its
-    last child has read it.
+    A requested chain keeps one numpy sum per block, and its value is
+    ``math.fsum`` of them, real and imaginary parts apart for complex128.
+    No length-``size`` array is allocated: at most max depth + distinct
+    keys + the shared inputs + 1 blocks are live, as a node's prefix block
+    is freed once its last child has read it.
 
     Cutoff: the caller may pass ``stop`` when every outermost summand from
-    index ``stop`` on is an exact zero.  Subtrees that start at or after it
-    are not visited and each counts as one +0 in the sums, and the leaf
-    that holds it is cut down to one kernel run (``_is_leaf``), so the
-    blocks cover the live summands and less than one kernel run past them.
-    The cut leaves join one block, so a walk whose live summands and that
-    kernel run fit in ``_LEAF`` elements computes one block, whatever the
-    number of leaves it sums.
-    A nonzero value stays bit-identical, as adding a zero leaves a nonzero
-    sum unchanged; a value whose summands are all zeros stays a zero, and
-    +0 if they all are.
+    index ``stop`` on is an exact zero; the blocks then end there, so a walk
+    with at most ``_LEAF`` live summands computes one block, whatever
+    ``size`` is.
     """
     # a path is a suffix read innermost key first; sorted, the paths are the
     # trie's preorder.  Only zeta_values passes several chains, with int keys;
@@ -251,23 +180,19 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
     carries = [0.0] * len(nodes)
     # Block lifetime: the previous block's arrays (``level``'s inputs and
     # ``terms``) are still alive while ``block_terms`` allocates the next
-    # block's inputs, and the speed depends on it.  One recursion over the tree in place of
-    # ``_leaves`` and ``_tree_sum``, which freed each leaf's arrays before
-    # the next block was allocated, gave the same bits but ran slower on a
-    # shared 2-CPU Xeon: zeta (3,1) at N = 1e6 took 31-38 ms, not 13-19 ms,
-    # and mpl (2,2) at z = (1,1), N = 2e6 took 89-120 ms, not 30-41 ms.
+    # block's inputs, and the speed depends on it.  A walk that freed each
+    # block's arrays before the next block was allocated gave the same bits
+    # but ran slower on a shared 2-CPU Xeon: zeta (3,1) at N = 1e6 took
+    # 31-38 ms, not 13-19 ms, and mpl (2,2) at z = (1,1), N = 2e6 took
+    # 89-120 ms, not 30-41 ms.
     # With glibc's MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ raised
     # for that process the two ran equal, which points at freed blocks going
     # back to the system and faulting in again.  A rework of the walk keeps
     # this.
-    blocks = []  # each a run of whole leaves, listed by its bounds
-    for lo, hi in _leaves(size, dtype, stop=stop):
-        if blocks and hi - blocks[-1][0] <= _LEAF:
-            blocks[-1].append(hi)
-        else:
-            blocks.append([lo, hi])
-    for bounds in blocks:
-        lo, hi = bounds[0], bounds[-1]
+    end = min(size, stop)
+    count = -(-end // _LEAF)
+    for b in range(count):
+        lo, hi = end * b // count, end * (b + 1) // count
         level = block_terms(lo, hi)
         terms = {}
         # an inner node's buf: buf[:-1] its exclusive prefix sums, buf[-1] its next carry
@@ -289,8 +214,8 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
                 g[:] = f
             else:
                 g = f
-            if chain is not None:  # one sum per leaf
-                sums[chain] += [g[a - lo:b - lo].sum() for a, b in zip(bounds, bounds[1:])]
+            if chain is not None:
+                sums[chain].append(g.sum())
             if inner:
                 buf[0] = carries[i]
                 if lo:
@@ -299,8 +224,11 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
                 carries[i] = buf[-1]
                 prefixes[i] = buf
             del f, g, buf  # a leaf's summands go before the next node allocates
-    return {chain: _tree_sum(parts, size, dtype, stop).item()
-            for chain, parts in sums.items()}
+    if dtype == np.complex128:
+        return {chain: complex(math.fsum(p.real for p in parts),
+                               math.fsum(p.imag for p in parts))
+                for chain, parts in sums.items()}
+    return {chain: math.fsum(parts) for chain, parts in sums.items()}
 
 
 def _zeta_tail(s: tuple, N: int) -> float:
@@ -339,8 +267,9 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     |z_i| <= 1 for the inner letters.  The exponents must be positive
     integers, so every (n + x)^(-s_j) lies in (0, 1].
 
-    A letter equal to 1 gets exact ones in place of ``cpow``, and a
-    letter's power z^n is written as +0 from the first n with
+    The walk is in float64 when every letter is real, and in complex128
+    otherwise.  A letter equal to 1 computes no power, and a letter's
+    power z^n is written as +0 from the first n with
     n * log2(1/|z|) >= ``_ZERO_BITS`` on; the walk stops at the outer
     letter's first zero, past which every summand is zero times finite
     factors.
@@ -361,6 +290,10 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     r = abs(z[0])
     # z1 = 1 comes with s1 >= 2, where zeta's bound holds
     tail = r ** cfg.N / (1 - r) * cfg.N ** (-s[0]) if r < 1 else _zeta_tail(s, cfg.N)
+    real = all(w.imag == 0 for w in z)
+    dtype = np.float64 if real else np.complex128
+    if real:
+        z = tuple(w.real for w in z)
     x = float(cfg.x)
     zero_from = {w: _first_zero(-math.log2(abs(w)) if w else math.inf, cfg.N)
                  for w in set(z)}
@@ -368,19 +301,14 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     def block_terms(lo, hi):
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         shifted = n + x
-        # exact zeros, and a unit letter's exact ones as the real block cast
-        # to complex128 like cpow's: the term blocks are summed along numpy's
-        # complex tree, which splits unlike the float one
-        z_pow = {w: _powers(w, n, lo, zero_from[w], np.complex128)
-                 for w in zero_from if w != 1}
+        z_pow = {w: _powers(w, n, lo, zero_from[w], dtype) for w in zero_from if w != 1}
         s_pow = {sj: shifted ** float(-sj) for sj in set(s)}
-        return lambda key: (s_pow[key[0]].astype(np.complex128) if key[1] == 1
+        return lambda key: (s_pow[key[0]] if key[1] == 1
                             else z_pow[key[1]] * s_pow[key[0]])
 
     chain = tuple(zip(s, z))  # one key (s_j, z_j) per depth
-    total = _walk((chain,), cfg.N, np.complex128, block_terms, zero_from[z[0]])[chain]
-    value = total.real if all(w.imag == 0 for w in z) else abs(total)
-    return EvalResult(value=value, tail_bound=tail)
+    total = _walk((chain,), cfg.N, dtype, block_terms, zero_from[z[0]])[chain]
+    return EvalResult(value=total if real else abs(total), tail_bound=tail)
 
 
 def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:

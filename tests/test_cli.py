@@ -48,9 +48,20 @@ class TestCanonicalJson:
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json({"value": [1, value]})
 
-    def test_float_zero_renders_as_an_integer(self):
-        # kept as it is: a float form would change the corpus bytes
-        assert canonical_json([0.0, -0.0]) == "[0, -0]"
+    def test_integral_float_renders_as_a_json_float(self):
+        # {x:.17g} alone printed 0.0 as 0 and 1.0 as 1
+        got = canonical_json([0.0, -0.0, 1.0, 1e16, 2.5, 1e-300, 1.5e17])
+        assert got == "[0.0, -0.0, 1.0, 10000000000000000.0, 2.5, 1e-300, 1.5e+17]"
+        assert all(type(v) is float for v in json.loads(got))
+
+    def test_float_zero_in_cli_output(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "eval", "--comp", "3", "--q", "1/2", "--K", "2000")
+        assert code == 0 and '"tail_bound": 0.0, ' in out
+        path = tmp_path / "c.jsonl"
+        assert run(capsys, "corpus", "build", "--max-weight", "4", "--max-depth", "2",
+                   "--out", str(path))[0] == 0
+        exact = [line for line in path.read_text().splitlines() if "exact-mod-p" in line]
+        assert exact and all('"residual": 0.0,' in line for line in exact)
 
 
 class TestProduct:
@@ -582,10 +593,10 @@ class TestCorpus:
     @pytest.mark.parametrize("max_weight, max_depth, count, digest", [
         # the corpus bytes as computed one composition at a time; sharing
         # suffixes across a build must not change a single residual bit
-        (8, 4, 79, "a41467eb2fe8a500943666f0d5d50241ae66803bb6d423b9893a53ef7b8b7d1c"),
+        (8, 4, 79, "f2a8bf5ef8d7c1109c1472fc4048e67d2210950c65d9e6c85adf689223422886"),
         # the top of the benchmark's corpus builds
-        (12, 5, 1066, "0363075b4ab36fcbda6ce4e661f47520a5d954088dbb3cd4ba617545dcebca27"),
-        (14, 4, 1157, "0d7e1ac5d25e0b076c04917c7b1f3fe274cb2531284e693c95d43f2c19173999"),
+        (12, 5, 1066, "e036d69aba381cae99ada8cb925056ddfe5dd9aa34218e2b1de5e3ec31e2b857"),
+        (14, 4, 1157, "fdeb0baf6d00e378fca7e20b23088ecc6c24b9dc8a1ee347b4eb5fcb3f53ba1e"),
     ], ids=["8-4", "12-5", "14-4"])
     def test_build_corpus_bytes_pinned(self, max_weight, max_depth, count, digest):
         # the bytes `rbmzv corpus build --max-weight W --max-depth D` writes

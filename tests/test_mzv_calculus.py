@@ -353,6 +353,20 @@ class TestDoubleShuffle:
         r = double_shuffle_relation((2,), (2,))
         assert (((2, 2),)) not in dict(r.terms)
 
+    @pytest.mark.parametrize("a, b, error, message", [
+        ((1, 2), (2,), InadmissibleError, "composition (1, 2) is divergent (first part < 2)"),
+        ((2,), (1, 3), InadmissibleError, "composition (1, 3) is divergent (first part < 2)"),
+        ((2, 0), (2,), ValueError, "not a composition: (2, 0)"),
+        ((2,), (), ValueError, "not a composition: ()"),
+        # a is checked before b
+        ((1,), (0,), InadmissibleError, "composition (1,) is divergent (first part < 2)"),
+    ], ids=["a-inadmissible", "b-inadmissible", "a-not-composition",
+            "b-not-composition", "a-first"])
+    def test_pair_errors(self, a, b, error, message):
+        with pytest.raises(ValueError) as info:
+            double_shuffle_relation(a, b, {}, {})
+        assert (type(info.value), str(info.value)) == (error, message)
+
 
 def expand_monomial(mono):
     """Stuffle-expand a product of zeta symbols into single symbols."""

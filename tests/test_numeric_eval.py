@@ -30,7 +30,7 @@ from rbmzv.numeric_eval import (
 from rbmzv import corpus
 from rbmzv import numeric_eval
 from rbmzv.corpus import eval_relation
-from rbmzv.numeric_eval import _KERNEL, _LEAF, _first_zero, _leaves, _tree_sum, _walk
+from rbmzv.numeric_eval import _LEAF, _first_zero, _walk
 
 
 class TestEvalConfig:
@@ -264,9 +264,28 @@ class TestEvalRelation:
 # --- the suffix-trie walk against the per-composition recursion -----------
 #
 # The references below evaluate one composition at a time by the plain
-# recursion: per-level term arrays innermost first, each level multiplied
-# by the exclusive prefix sums cumsum(g[:-1]) of the level inside it.  The
-# walk shares suffixes but must reproduce them bit for bit.
+# recursion over whole arrays: per-level term arrays innermost first, each
+# level multiplied by the exclusive prefix sums cumsum(g[:-1]) of the level
+# inside it, over the indices before the walk's cutoff.  They then add the
+# summands in the walk's documented order: one numpy sum per block, and
+# math.fsum of the block sums.  The walk shares suffixes and goes block by
+# block, but must reproduce them bit for bit.
+
+
+def _blocks(end):
+    """The walk's blocks over [0, end): ceil(end / _LEAF) of them, of equal
+    length to within one element."""
+    count = -(-end // _LEAF)
+    return [(end * b // count, end * (b + 1) // count) for b in range(count)]
+
+
+def documented_sum(terms):
+    """``terms`` added in the walk's order: a numpy sum per block, then
+    ``math.fsum`` of those, real and imaginary parts apart."""
+    sums = [terms[lo:hi].sum() for lo, hi in _blocks(len(terms))]
+    if terms.dtype == np.complex128:
+        return complex(math.fsum(p.real for p in sums), math.fsum(p.imag for p in sums))
+    return math.fsum(sums)
 
 
 def _exclusive_nested(levels):
@@ -279,25 +298,30 @@ def _exclusive_nested(levels):
 
 def zeta_reference(s, cfg):
     n = np.arange(1, cfg.N + 1, dtype=np.float64) + float(cfg.x)
-    return float(_exclusive_nested([n ** float(-sj) for sj in reversed(s)]).sum())
+    return documented_sum(_exclusive_nested([n ** float(-sj) for sj in reversed(s)]))
 
 
 def mpl_reference(s, z, cfg):
-    n = np.arange(1, cfg.N + 1, dtype=np.float64)
-    shifted = n + float(cfg.x)
     z = [complex(w) for w in z]
+    real = all(w.imag == 0 for w in z)
+    if real:  # a real walk is a float64 walk
+        z = [w.real for w in z]
+    stop = _first_zero(-math.log2(abs(z[0])) if z[0] else math.inf, cfg.N)
+    n = np.arange(1, stop + 1, dtype=np.float64)
+    shifted = n + float(cfg.x)
     terms = _exclusive_nested([np.power(zj, n) * shifted ** float(-sj)
                                for sj, zj in zip(reversed(s), reversed(z))])
-    total = complex(terms.sum())
-    return total.real if all(w.imag == 0 for w in z) else abs(total)
+    total = documented_sum(terms)
+    return total if real else abs(total)
 
 
 def qmzv_reference(s, cfg):
     q = float(cfg.q)
-    k = np.arange(1, cfg.K + 1, dtype=np.float64)
+    stop = _first_zero((s[0] - 1) * -math.log2(q), cfg.K)
+    k = np.arange(1, stop + 1, dtype=np.float64)
     bracket = (1.0 - q**k) / (1.0 - q)
-    return float(_exclusive_nested([q ** (k * (sj - 1)) / bracket**sj
-                                    for sj in reversed(s)]).sum())
+    return documented_sum(_exclusive_nested([q ** (k * (sj - 1)) / bracket**sj
+                                             for sj in reversed(s)]))
 
 
 @st.composite
@@ -314,8 +338,12 @@ def composition_sets(draw):
     return comps
 
 
-#: N or K past three leaves of the block walk, with a ragged last block
-MULTI_BLOCK = 3 * _LEAF + 5
+#: N or K of several blocks, one element apart in length; the cutoff cases
+#: below are placed for this N
+MULTI_BLOCK = 3 * 2**15 + 5
+#: N or K of one short block, one full block of ``_LEAF``, two blocks and
+#: four blocks
+BLOCK_EDGE_N = [10, _LEAF, _LEAF + 1, 3 * _LEAF + 7]
 SHARED_SUFFIXES = [(2,), (3, 1), (2, 1, 1), (4, 2, 1), (2, 2, 1, 1), (5, 1)]
 MPL_CASES = [
     ((2, 1), (0.5, 1)),
@@ -362,36 +390,57 @@ class TestZetaValues:
         cfg = EvalConfig(K=K, q=Fraction(2, 3))
         assert qmzv_num(s, cfg).value == qmzv_reference(s, cfg)
 
+    # z1 = 1 walks to N; |z1| = 0.3 stops at index 633 when N is larger
+    @pytest.mark.parametrize("s, z", [
+        ((3, 1, 2), (1, 1, 1)), ((2, 1), (0.3, -1)),
+        ((3, 1, 2), (1, 1j, 1)), ((2, 1), (0.3j, -1)),
+    ], ids=["float", "float-cut", "complex", "complex-cut"])
+    @pytest.mark.parametrize("N", BLOCK_EDGE_N)
+    def test_mpl_bitwise_at_block_edges(self, s, z, N):
+        cfg = EvalConfig(N=N, x=Fraction(1, 4))
+        assert _same_bits(mpl_num(s, z, cfg).value, mpl_reference(s, z, cfg))
+
+    @pytest.mark.parametrize("N", BLOCK_EDGE_N)
+    def test_zeta_and_qmzv_bitwise_at_block_edges(self, N):
+        cfg = EvalConfig(N=N, K=N, x=Fraction(1, 3), q=Fraction(19, 20))
+        assert zeta_num((3, 1, 2), cfg).value == zeta_reference((3, 1, 2), cfg)
+        # at q = 19/20, (2, 1) stops at index 14,864 and (3, 2, 1) at 7,432
+        # when K is larger
+        for s in [(2, 1), (3, 2, 1)]:
+            assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
+
 
 def _same_bits(got, want):
     return got == want and math.copysign(1, got) == math.copysign(1, want)
 
 
-def _cutoff_place(first_zero, n, dtype):
-    """Where a walk over n elements stops: in the first leaf, in a later
-    leaf, or past n (no stop)."""
+def _cutoff_place(first_zero, n):
+    """Where a walk over n elements stops: in its first block without a
+    cutoff, in a later one, or past n (no stop)."""
     if first_zero >= n:
         return "past"
-    return "first" if first_zero < _leaves(n, dtype)[0][1] else "middle"
+    return "first" if first_zero < _blocks(n)[0][1] else "middle"
 
 
-#: outer letters whose powers turn zero in the first leaf, in a later leaf,
-#: or only past MULTI_BLOCK; 0.999 turns zero in a later leaf at N = 10^6
+#: outer letters whose powers turn zero in the first block, in a later
+#: block, or only past MULTI_BLOCK; 0.999 turns zero in a later block at
+#: N = 10^6
 CUTOFF_Z1 = [0.999, -0.999, 1e-300, -1e-300, 0.9j, 0.3 + 0.4j, 0.981, -0.981j]
 CUTOFF_SHAPES = [((2,), ()), ((2, 1), (1,)), ((1, 2, 1), (-1, 0.5j))]
 
 
 class TestCutoff:
     """The walks stop where the outer summands are exact zeros and write
-    zeros and ones in place of pow and cpow; every value, sign bit
-    included, stays that of whole-array arithmetic."""
+    zeros and skip the powers of 1; every value, sign bit included, stays
+    that of whole-array arithmetic up to the cutoff, added in the walk's
+    documented order."""
 
     def test_cases_place_the_cutoff_everywhere(self):
         places = {_cutoff_place(_first_zero(-math.log2(abs(z1)), MULTI_BLOCK),
-                                MULTI_BLOCK, np.complex128) for z1 in CUTOFF_Z1}
+                                MULTI_BLOCK) for z1 in CUTOFF_Z1}
         assert places == {"first", "middle", "past"}
         cut = _first_zero(-math.log2(0.999), 10**6)
-        assert _cutoff_place(cut, 10**6, np.complex128) == "middle"
+        assert _cutoff_place(cut, 10**6) == "middle"
 
     @pytest.mark.parametrize("z1", CUTOFF_Z1, ids=str)
     @pytest.mark.parametrize("s, inner", CUTOFF_SHAPES, ids=["d1", "d2", "d3"])
@@ -414,11 +463,11 @@ class TestCutoff:
     ])
     def test_qmzv_bitwise(self, q, s, K):
         cut = _first_zero((s[0] - 1) * -math.log2(q), K)
-        assert _cutoff_place(cut, K, np.float64) == "middle"
+        assert _cutoff_place(cut, K) == "middle"
         cfg = EvalConfig(K=K, q=q)
         assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
 
-    # the benchmark's deepest strata, cut in the first leaf's kernel runs
+    # the benchmark's deepest strata, cut in the first block
     @pytest.mark.parametrize("z1", [0.3, 0.9, cmath.rect(0.9, 1.0)], ids=str)
     def test_mpl_bitwise_benchmark_scale(self, z1):
         cfg = EvalConfig(N=10**6)
@@ -431,13 +480,13 @@ class TestCutoff:
         s = (2, 1, 1, 1)
         assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
 
-    # the benchmark's q-MZV strata whose cutoff leaf splits into the most
-    # leaves, all computed in one block
-    @pytest.mark.parametrize("s, leaves", [((2, 1), 5), ((3, 1, 1), 4)], ids=str)
-    def test_qmzv_bitwise_merged_leaves(self, s, leaves):
+    # the benchmark's q-MZV strata with the most live summands at q = 2/3;
+    # they are one block
+    @pytest.mark.parametrize("s", [(2, 1), (3, 1, 1)], ids=str)
+    def test_qmzv_bitwise_merged_leaves(self, s):
         cfg = EvalConfig(K=10**6, q=Fraction(2, 3))
         stop = _first_zero((s[0] - 1) * -math.log2(2 / 3), cfg.K)
-        assert len(_leaves(cfg.K, np.float64, stop=stop)) == leaves
+        assert len(_blocks(stop)) == 1
         assert _same_bits(qmzv_num(s, cfg).value, qmzv_reference(s, cfg))
 
 
@@ -461,8 +510,8 @@ def _handed_over(monkeypatch, run):
 
 
 class TestCutoffCost:
-    """A walk that stops early computes its live summands and less than one
-    kernel run past them, not the whole first leaf."""
+    """A walk that stops early computes its live summands alone, not the
+    whole first block."""
 
     @pytest.mark.parametrize("run", [
         pytest.param(lambda: mpl_num((1, 1, 1), (0.6, 1, 1), EvalConfig(N=10**6)), id="mpl"),
@@ -474,16 +523,15 @@ class TestCutoffCost:
     def test_stopping_walk_pays_for_live_summands(self, monkeypatch, run):
         elements, stop = _handed_over(monkeypatch, run)
         assert stop < _LEAF
-        # past ``stop``, less than one run of numpy's unrolled kernel
-        assert stop <= elements < stop + 128
+        assert elements == stop
 
     def test_walk_without_cutoff_covers_all(self, monkeypatch):
         N = 10**6
         elements, stop = _handed_over(monkeypatch, lambda: zeta_num((3, 1), EvalConfig(N=N)))
         assert (elements, stop) == (N, math.inf)
 
-    # the leaves that hold an early cutoff share one block; a walk without
-    # a cutoff computes one block per leaf, as the corpus and zeta paths did
+    # an early cutoff leaves one block; a walk without a cutoff computes
+    # ceil(N / _LEAF) blocks
     @pytest.mark.parametrize("run, blocks", [
         pytest.param(lambda: mpl_num((1, 1, 1), (0.6, 1, 1), EvalConfig(N=10**6)), 1,
                      id="mpl"),
@@ -492,10 +540,10 @@ class TestCutoffCost:
         pytest.param(lambda: qmzv_num((2, 1), EvalConfig(K=10**6, q=Fraction(3, 4))), 1,
                      id="qmzv-3/4"),
         pytest.param(lambda: zeta_num((3, 1), EvalConfig(N=10**6)),
-                     len(_leaves(10**6, np.float64)), id="zeta"),
+                     len(_blocks(10**6)), id="zeta"),
         pytest.param(lambda: zeta_values(corpus._admissible_compositions(12, 5),
                                          EvalConfig(N=10**5)),
-                     len(_leaves(10**5, np.float64)), id="corpus"),
+                     len(_blocks(10**5)), id="corpus"),
     ])
     def test_block_count(self, monkeypatch, run, blocks):
         computed = []
@@ -562,21 +610,21 @@ STOP_DRAWS = (st.sampled_from([None, "lo", "hi"]), st.integers(-1, 1),
               st.sampled_from([16, 128, 1024, None]))
 
 
-def _drawn_stop(n, dtype, where, edge, nudge):
-    """A cutoff ``where`` / 2^16 of the way through n elements, or on an
-    edge of the kernel run that holds that point, or one element either
-    side of the edge."""
+def _drawn_stop(n, where, edge, nudge):
+    """A cutoff ``where`` / 2^16 of the way through n elements, or on the
+    multiple of ``_LEAF`` below or above that point, where the number of
+    blocks changes, or one element either side of it."""
     stop = where * n >> 16
     if edge and stop:
-        lo, hi = _leaves(n, np.dtype(dtype), stop=stop)[-1]
-        stop = min(n, max(0, (lo if edge == "lo" else hi) + nudge))
+        lo = stop // _LEAF * _LEAF
+        stop = min(n, max(0, (lo if edge == "lo" else lo + _LEAF) + nudge))
     return stop
 
 
 def _keep_window(a, stop, window):
     """Zero ``a`` from ``stop`` on, and before the ``window`` terms that end
     there (if a window is drawn), so that the order of additions in the
-    runs next to ``stop`` shows in a total."""
+    block next to ``stop`` shows in a total."""
     a[stop:] = 0
     a[:max(0, stop - (window or stop))] = 0
 
@@ -584,8 +632,9 @@ def _keep_window(a, stop, window):
 WALK_CHAINS = [("a", "b", "c"), ("b", "c"), ("c", "b", "c"), ("a",)]
 
 
-def _whole_array_sum(terms, chain):
-    """``chain``'s value by whole-array arithmetic over ``terms``."""
+def _whole_array_sum(terms, chain, stop=math.inf):
+    """``chain``'s value by whole-array arithmetic over ``terms`` before
+    ``stop``, added in the walk's documented order."""
     whole = terms[chain[-1]]
     for key in reversed(chain[:-1]):
         prefix = np.zeros_like(whole)
@@ -594,69 +643,34 @@ def _whole_array_sum(terms, chain):
         # not bitwise commutative, and ``f * <temporary>`` lets numpy
         # reuse the temporary as the output with the operands swapped
         whole = np.multiply(terms[key], prefix)
-    return whole.sum()
+    return documented_sum(whole[:min(len(whole), stop)])
 
 
-def _runs_of_whole_leaves(blocks, leaves):
-    """Whether ``blocks`` are consecutive runs of whole ``leaves``, each at
-    most ``_LEAF`` long, that together cover exactly the leaves' span."""
-    if not leaves:
-        return blocks == []
-    edges = {lo for lo, _ in leaves} | {leaves[-1][1]}
-    return (bool(blocks) and blocks[0][0] == leaves[0][0]
-            and blocks[-1][1] == leaves[-1][1]
-            and all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            and all({lo, hi} <= edges and 0 < hi - lo <= _LEAF for lo, hi in blocks))
+def _visiting_walk(terms, dtype, stop):
+    """``_walk`` over ``WALK_CHAINS`` with ``terms``, and the blocks it
+    computed."""
+    visited = []
+
+    def block_terms(lo, hi):
+        visited.append((lo, hi))
+        return lambda key: terms[key][lo:hi].copy()
+
+    n = len(terms["a"])
+    return _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop), visited
 
 
 class TestBlockWalk:
-    """The walk computes blocks that are runs of whole leaves of numpy's
-    pairwise-summation tree, at most ``_LEAF`` elements each, sums each leaf
-    on its own and adds the leaf sums back along that tree, and carries each
-    prefix sum across blocks; its values equal whole-array arithmetic only
-    while numpy reduces in this order."""
-
-    @given(st.integers(1, 8), st.integers(-24, 24),
-           st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_leaf_sums_rebuild_numpy_sum(self, leaves, offset, dtype, seed):
-        n = max(1, leaves * _LEAF + offset)
-        a = _wide_random(np.random.default_rng(seed), n, dtype)
-        blocks = _leaves(n, a.dtype)
-        assert blocks[0][0] == 0 and blocks[-1][1] == n
-        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
-        assert all(0 < hi - lo <= _LEAF for lo, hi in blocks)
-        got = _tree_sum([a[lo:hi].sum() for lo, hi in blocks], n, a.dtype)
-        assert got == a.sum(), (
-            f"numpy {np.__version__} no longer sums {a.dtype} along the pairwise "
-            "tree that numeric_eval._split describes; the block walk's values "
-            "would stop matching whole-array sums")
-
-    @given(st.integers(1, 8), st.integers(-24, 24),
-           st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1),
-           st.integers(0, 1 << 16), *STOP_DRAWS)
-    @example(2, 7, np.float64, 1, 50000, None, 0, 128)
-    @example(2, 7, np.complex128, 1, 30000, None, 0, 128)
-    @settings(max_examples=80, deadline=None)
-    def test_cut_leaf_sums_rebuild_numpy_sum(self, leaves, offset, dtype, seed,
-                                             where, edge, nudge, window):
-        n = max(1, leaves * _LEAF + offset)
-        stop = _drawn_stop(n, dtype, where, edge, nudge)
-        a = _wide_random(np.random.default_rng(seed), n, dtype)
-        _keep_window(a, stop, window)
-        blocks = _leaves(n, a.dtype, stop=stop)
-        got = _tree_sum([a[lo:hi].sum() for lo, hi in blocks], n, a.dtype, stop)
-        assert got.tobytes() == a.sum().tobytes(), (
-            f"numpy {np.__version__} no longer sums {a.dtype} along the pairwise "
-            f"tree that numeric_eval._split describes, in unrolled runs of "
-            f"{_KERNEL} float64 components; the walks that stop early would "
-            "stop matching whole-array sums")
+    """The walk computes blocks of equal length, at most ``_LEAF`` elements
+    each, over the indices before its cutoff, carries each prefix sum
+    across blocks, and adds each value's block sums with ``math.fsum``: its
+    values equal whole-array arithmetic added in that order, on any numpy."""
 
     @given(st.integers(1, 4), st.integers(-24, 24),
            st.sampled_from([np.float64, np.complex128]), st.integers(0, 2**32 - 1),
            st.none() | st.integers(0, 1 << 16), *STOP_DRAWS)
     @example(2, 7, np.float64, 1, 50000, None, 0, 128)
     @example(2, 7, np.complex128, 1, 30000, None, 0, 128)
+    @example(2, 7, np.float64, 1, 30000, "hi", 1, 16)
     @settings(max_examples=40, deadline=None)
     def test_walk_matches_whole_array_arithmetic(self, leaves, offset, dtype, seed,
                                                  where, edge, nudge, window):
@@ -668,47 +682,51 @@ class TestBlockWalk:
         terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
         stop = math.inf
         if where is not None:
-            stop = _drawn_stop(n, dtype, where, edge, nudge)
+            stop = _drawn_stop(n, where, edge, nudge)
             for t in terms.values():
                 _keep_window(t, stop, window)
-        got = _walk(WALK_CHAINS, n, np.dtype(dtype),
-                    lambda lo, hi: lambda key: terms[key][lo:hi].copy(), stop)
+        got, visited = _visiting_walk(terms, dtype, stop)
+        assert visited == _blocks(min(n, stop))
         for chain in WALK_CHAINS:
-            assert got[chain] == _whole_array_sum(terms, chain), chain
+            assert got[chain] == _whole_array_sum(terms, chain, stop), chain
+
+    @pytest.mark.parametrize("stop", ["none", "last", "half"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_N)
+    def test_walk_at_block_edges(self, n, dtype, stop):
+        stop = {"none": math.inf, "last": n - 1, "half": n // 2}[stop]
+        rng = np.random.default_rng(n)
+        terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
+        if stop < n:
+            for t in terms.values():
+                _keep_window(t, stop, None)
+        got, visited = _visiting_walk(terms, dtype, stop)
+        assert visited == _blocks(min(n, stop))
+        assert all(0 < hi - lo <= _LEAF for lo, hi in visited)
+        for chain in WALK_CHAINS:
+            assert got[chain] == _whole_array_sum(terms, chain, stop), chain
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("where", ["inside", "at", "past", "start", "end"])
     def test_stop_matches_zeroed_tail(self, dtype, where):
-        # every summand from ``stop`` on is zero, so the walk may leave out
-        # each leaf that starts there and count each such subtree as +0;
-        # with terms only in the 128 before ``stop``, the order of additions
-        # in the kernel run that holds it shows in the values
+        # every summand from ``stop`` on is zero, so the walk's blocks end
+        # there; ``_LEAF`` is where a second block starts.  With terms only
+        # in the 128 before ``stop``, a misplaced block edge near it shows
+        # in the values
         n = MULTI_BLOCK
-        leaves = _leaves(n, np.dtype(dtype))
-        boundary = leaves[1][0]
-        stop = {"inside": boundary - 5, "at": boundary, "past": boundary + 5,
+        stop = {"inside": _LEAF - 5, "at": _LEAF, "past": _LEAF + 5,
                 "start": 0, "end": n}[where]
         for window in (None, 128):
             rng = np.random.default_rng(7)
             terms = {key: _wide_random(rng, n, dtype) for key in "abc"}
             for t in terms.values():
                 _keep_window(t, stop, window)
-            visited = []
-
-            def block_terms(lo, hi):
-                visited.append((lo, hi))
-                return lambda key: terms[key][lo:hi].copy()
-
-            got = _walk(WALK_CHAINS, n, np.dtype(dtype), block_terms, stop)
-            assert _runs_of_whole_leaves(visited, _leaves(n, np.dtype(dtype), stop=stop))
-            # the leaf holding ``stop`` is cut down to one run of numpy's
-            # unrolled kernel: 128 float64 components
-            kernel = 128 * 8 // np.dtype(dtype).itemsize
-            assert not visited or visited[-1][1] <= stop + kernel
+            got, visited = _visiting_walk(terms, dtype, stop)
+            assert visited == _blocks(stop)
             for chain in WALK_CHAINS:
-                want = _whole_array_sum(terms, chain)
+                want = _whole_array_sum(terms, chain, stop)
                 assert got[chain] == want, (window, chain)
-                assert np.signbit(got[chain].real) == np.signbit(want.real), (window, chain)
+                assert np.signbit(want.real) == np.signbit(got[chain].real), (window, chain)
 
 def _traced_peak(fn):
     fn()  # first call outside tracing, so lazy set-up is not counted
