@@ -21,10 +21,11 @@ from json.encoder import encode_basestring
 
 from . import identity_engine, mzv_calculus as mzv, operator_gallery as ops
 from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
+from .compositions import composition_str, is_admissible, parse_composition
 from .corpus import build_corpus
 from .identity_engine import _check_prime, _check_range
 from .letters import COMPOSITION
-from .mzv_calculus import Relation, composition_str, is_admissible, parse_composition
+from .mzv_calculus import Relation
 from .tensor_algebra import mixable_shuffle
 
 
@@ -128,7 +129,7 @@ def cmd_relation(args) -> int:
     _check_prime(args.p)
     if args.k < 2:
         raise ValueError("k must be >= 2")
-    _check_range("order", args.order, 1, 6)
+    _check_range("order", args.order, 1, mzv.MAX_SPITZER_ORDER)
     if args.gen == "doubleshuffle":
         rel = mzv.double_shuffle_relation(a, b)
     elif args.gen == "hoffman":

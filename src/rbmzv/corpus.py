@@ -10,7 +10,8 @@ import itertools
 from functools import partial
 
 from . import mzv_calculus as mzv
-from .mzv_calculus import Relation, composition_str, weight as comp_weight
+from .compositions import composition_str, weight as comp_weight
+from .mzv_calculus import Relation
 
 RESIDUAL_TOL = 1e-4
 
@@ -68,7 +69,7 @@ def corpus_relations(max_weight: int, max_depth: int) -> list:
             relations.append((sum(s), "hoffman", ",".join(str(p) for p in s),
                               partial(mzv.hoffman_partition_relation, s)))
     for k in range(2, max_weight + 1):
-        for order in range(2, max_depth + 1):
+        for order in range(2, min(max_depth, mzv.MAX_SPITZER_ORDER) + 1):
             if k * order > max_weight:
                 continue
             relations.append((k * order, "spitzer", f"k={k},order={order}",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import series_exp, series_log1p
+from .compositions import check_composition
 from .letters import COMPOSITION, MONOMIAL
 from .tensor_algebra import ShaAlgebra, ShaElement, _prepend
 
@@ -34,11 +35,6 @@ def _check_prime(p: int):
 def _check_range(name: str, value: int, lo: int, hi: int):
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}")
-
-
-def check_composition(s):
-    if not s or any(not isinstance(p, int) or p < 1 for p in s):
-        raise ValueError(f"not a composition: {s!r}")
 
 
 @dataclass

@@ -1,6 +1,5 @@
-"""Compositions, the stuffle and shuffle products on zeta symbols, and the
-relation generators (double shuffle, Hoffman partition, Spitzer,
-congruence).
+"""The stuffle and shuffle products on zeta symbols, and the relation
+generators (double shuffle, Hoffman partition, Spitzer, congruence).
 
 The stuffle is the weight-1 mixable shuffle of composition letters.  The
 shuffle comes from the iterated-integral representation, where zeta(s) is
@@ -8,8 +7,8 @@ the word x0^(s1-1) x1 ... x0^(sn-1) x1 in the letters x0 = dt/t and
 x1 = dt/(1-t); it is the shuffle of those words (Hoffman, J. Algebra 194,
 1997), computed on the compositions themselves, one part at a time.
 
-A composition is a tuple of positive integers; it is admissible when its
-first part is >= 2.  A ZetaCombo is a dict composition -> coefficient.
+Compositions and the admissibility rule live in ``compositions``.  A
+ZetaCombo is a dict composition -> coefficient.
 A Relation is a sum-to-zero combination of monomials, each monomial a
 sorted tuple of compositions standing for a product of zeta symbols.
 Its coefficients are exact: an integral one is an ``int`` and any other a
@@ -42,45 +41,18 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .coefficients import PolyQ
+from .compositions import (Composition, InadmissibleError, check_composition,
+                           composition_str, require_admissible)
 from .identity_engine import (_check_range, _mod_p_failure, _signed_set_partitions,
-                              check_composition, freshman_power)
+                              freshman_power)
 from .letters import COMPOSITION, QLETTERS, LetterSystem
 from .tensor_algebra import _prepend, mixable_shuffle
 
-Composition = tuple
 ZetaCombo = dict  # Composition -> coefficient
 Monomial = tuple  # sorted tuple of Compositions
 
-
-class InadmissibleError(ValueError):
-    """Raised when a divergent (s1 = 1) composition is used numerically."""
-
-
-def is_admissible(s: Composition) -> bool:
-    return s[0] >= 2
-
-
-def require_admissible(s: Composition):
-    check_composition(s)
-    if not is_admissible(s):
-        raise InadmissibleError(f"composition {s} is divergent (first part < 2)")
-
-
-def weight(s: Composition) -> int:
-    return sum(s)
-
-
-def parse_composition(text: str) -> Composition:
-    try:
-        s = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed composition {text!r}") from None
-    check_composition(s)
-    return s
-
-
-def composition_str(s: Composition) -> str:
-    return ",".join(str(p) for p in s)
+#: the largest order ``spitzer_zeta_relation`` takes
+MAX_SPITZER_ORDER = 6
 
 
 def stuffle(a: Composition, b: Composition, memo=None) -> ZetaCombo:
@@ -303,7 +275,7 @@ def spitzer_zeta_relation(k: int, order: int) -> Relation:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    _check_range("order", order, 1, 6)
+    _check_range("order", order, 1, MAX_SPITZER_ORDER)
     terms: dict = {_mono((k,) * order): 1}
     _add_partition_sum(terms, (k,) * order, Fraction(-1, math.factorial(order)))
     return Relation.from_dict(terms, f"spitzer(k={k},order={order})")

@@ -54,8 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .identity_engine import check_composition
-from .mzv_calculus import require_admissible
+from .compositions import check_composition, require_admissible
 
 
 @dataclass
@@ -153,7 +152,7 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
 
     Carry rule: an inner node carries its running prefix sum across blocks
     and its block cumsum starts from it (``carry + g[0]`` first, as one
-    whole-array cumsum adds); the first block has none, so a -0.0 stays.
+    whole-array cumsum adds); the first block's carry is 0.0.
     A requested chain keeps one numpy sum per block, and its value is
     ``math.fsum`` of them, real and imaginary parts apart for complex128.
     No length-``size`` array is allocated: at most max depth + distinct
@@ -218,8 +217,7 @@ def _walk(chains, size: int, dtype, block_terms, stop: float = math.inf) -> dict
                 sums[chain].append(g.sum())
             if inner:
                 buf[0] = carries[i]
-                if lo:
-                    g[0] += buf[0]
+                g[0] += buf[0]
                 np.cumsum(g, out=g)
                 carries[i] = buf[-1]
                 prefixes[i] = buf

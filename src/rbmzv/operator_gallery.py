@@ -100,7 +100,8 @@ def p_q(f: XPoly) -> XPoly:
         raise ValueError("P_q requires a zero constant term")
     out = [RatFuncQ(PolyQ())]
     for m in range(1, len(f.coeffs)):
-        factor = RatFuncQ(_q_power(m), PolyQ((1,)) - _q_power(m))
+        # canonical as built: -q^m over the monic q^m - 1, coprime to it
+        factor = RatFuncQ._make(-_q_power(m), PolyQ((-1,) + (0,) * (m - 1) + (1,)))
         out.append(f.coeffs[m] * factor)
     return XPoly(out)
 
@@ -115,7 +116,8 @@ def jackson_j(f: XPoly) -> XPoly:
     x^m -> (1-q)/(1 - q^(m+1)) x^(m+1)."""
     out = [RatFuncQ(PolyQ())]
     for m, c in enumerate(f.coeffs):
-        factor = RatFuncQ(ONE_MINUS_Q, PolyQ((1,)) - _q_power(m + 1))
+        # canonical as built: 1 over the monic 1 + q + ... + q^m
+        factor = RatFuncQ._make(PolyQ((1,)), PolyQ((1,) * (m + 1)))
         out.append(c * factor)
     return XPoly(out)
 

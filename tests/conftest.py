@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from rbmzv.compositions import require_admissible
 from rbmzv.letters import COMPOSITION, LetterSystem
-from rbmzv.mzv_calculus import require_admissible
 from rbmzv.tensor_algebra import ShaAlgebra, ShaElement
 
 

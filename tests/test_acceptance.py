@@ -25,7 +25,6 @@ from rbmzv.letters import COMPOSITION
 from rbmzv.mzv_calculus import (
     double_shuffle_relation,
     hoffman_partition_relation,
-    is_admissible,
     q_stuffle,
     shuffle_zeta,
     stuffle,

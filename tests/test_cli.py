@@ -11,11 +11,12 @@ import pytest
 
 from rbmzv import cli, mzv_calculus as mzv, numeric_eval
 from rbmzv.cli import canonical_json, main
+from rbmzv.compositions import composition_str
 from rbmzv.corpus import (
     _admissible_compositions, _double_shuffle_pairs, build_corpus, corpus_relations,
 )
 from rbmzv.letters import COMPOSITION
-from rbmzv.mzv_calculus import Relation, composition_str
+from rbmzv.mzv_calculus import Relation
 from rbmzv.numeric_eval import EvalResult
 from rbmzv.tensor_algebra import mixable_shuffle
 

@@ -39,6 +39,17 @@ def test_symbolic_modules_load_no_numpy():
     assert loaded_after(modules, ("numpy", "rbmzv.numeric_eval", "rbmzv.cli")) == []
 
 
+def test_numeric_layer_loads_no_symbolic_module():
+    # the composition rules live in a leaf module, so checking an input
+    # loads no Sha algebra, coefficient tower or relation generator
+    got = fresh(
+        "import json, sys\n"
+        "import rbmzv.numeric_eval\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rbmzv.'))))\n"
+    )
+    assert got == ["rbmzv.compositions", "rbmzv.numeric_eval"]
+
+
 def test_cli_loads_no_numpy():
     assert loaded_after(("rbmzv.cli", "rbmzv.corpus"),
                         ("numpy", "rbmzv.numeric_eval")) == []

@@ -11,23 +11,25 @@ from hypothesis import strategies as st
 from rbmzv import mzv_calculus
 from rbmzv.corpus import _admissible_compositions, corpus_relations
 from rbmzv.coefficients import ONE_MINUS_Q, PolyQ
+from rbmzv.compositions import (
+    InadmissibleError,
+    composition_str,
+    is_admissible,
+    parse_composition,
+    require_admissible,
+    weight,
+)
 from rbmzv.letters import QLETTERS
 from rbmzv.tensor_algebra import mixable_shuffle
 from rbmzv.mzv_calculus import (
-    InadmissibleError,
     Relation,
-    composition_str,
     congruence_zeta_relation,
     double_shuffle_relation,
     hoffman_partition_relation,
-    is_admissible,
-    parse_composition,
     q_stuffle,
-    require_admissible,
     shuffle_zeta,
     spitzer_zeta_relation,
     stuffle,
-    weight,
 )
 
 from conftest import WORD, X0, X1, comp_to_word, word_to_comp
@@ -446,6 +448,13 @@ class TestSpitzerZeta:
             spitzer_zeta_relation(1, 2)
         with pytest.raises(ValueError):
             spitzer_zeta_relation(2, 7)
+
+    def test_corpus_lists_only_orders_the_generator_takes(self):
+        # depth 7 would allow order 7, which the generator refuses
+        spitzer = [r for r in corpus_relations(14, 7) if r[1] == "spitzer"]
+        assert max(make.args[1] for *_, make in spitzer) == 6
+        for *_, make in spitzer:
+            make()
 
 
 def _power(rel: dict) -> dict:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbmzv.compositions import InadmissibleError
 from rbmzv.mzv_calculus import (
-    InadmissibleError,
     Relation,
     double_shuffle_relation,
     hoffman_partition_relation,

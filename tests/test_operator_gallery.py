@@ -169,3 +169,18 @@ class TestJacksonOperators:
             exact = c.num.evaluate(HALF) / c.den.evaluate(HALF)
             partial = sum(HALF ** (n * m) for n in range(1, 201))
             assert abs(exact - partial) < Fraction(1, 10**10)
+
+    def test_factors_are_the_constructors_canonical_form(self):
+        # each operator builds its x^m factor in canonical form without a
+        # gcd; the constructor's reduction must give the same parts
+        def parts(r):
+            return r.num.content, r.num.prim, r.den.content, r.den.prim
+
+        for m in range(21):
+            q_m, q_m1 = PolyQ((0,) * m + (1,)), PolyQ((0,) * (m + 1) + (1,))
+            monomial = XPoly([Fraction(0)] * m + [Fraction(1)])
+            if m:
+                assert parts(p_q(monomial).coeffs[m]) == parts(
+                    RatFuncQ(q_m, PolyQ((1,)) - q_m))
+            assert parts(jackson_j(monomial).coeffs[m + 1]) == parts(
+                RatFuncQ(ONE_MINUS_Q, PolyQ((1,)) - q_m1))
