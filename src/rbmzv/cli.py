@@ -3,9 +3,11 @@ numeric evaluation, identity verification and the golden relation corpus.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error
 or an input too large to compute (the run exhausted memory or the
-recursion limit, or a float overflowed).  ``corpus build`` writes each
-entry as it is made, so a build that fails partway leaves at ``--out``
-the whole lines written before the failure; nothing removes them.
+recursion limit, or a float overflowed; ``eval`` refuses a walk of more
+than ``MAX_EVAL_SUMMANDS`` summands before it starts).  ``corpus build``
+writes each entry as it is made, so a build that fails partway leaves at
+``--out`` the whole lines written before the failure; nothing removes
+them.
 All output is deterministic; floats are rendered with 17 significant
 digits.
 """
@@ -21,7 +23,8 @@ from json.encoder import encode_basestring
 
 from . import identity_engine, mzv_calculus as mzv, operator_gallery as ops
 from .coefficients import ONE_MINUS_Q, PolyQ, RatFuncQ
-from .compositions import composition_str, is_admissible, parse_composition
+from .compositions import (composition_str, is_admissible, parse_composition,
+                           require_admissible)
 from .corpus import build_corpus
 from .identity_engine import _check_prime, _check_range
 from .letters import COMPOSITION
@@ -152,6 +155,13 @@ def relation_text(rel: Relation) -> str:
     return (" + ".join(parts) or "0") + " = 0"
 
 
+#: Most summands ``eval`` walks: the walked length (N, or the q-walk's
+#: stop) times the depth.  A walk takes some 5 ns a summand (zeta
+#: (2,2,2,2) at N = 1e7 in about 0.2 s on a shared 2-CPU Xeon), so this is
+#: seconds; a larger input is refused before any block is computed.
+MAX_EVAL_SUMMANDS = 5 * 10**8
+
+
 def cmd_eval(args) -> int:
     # imported here and in ``corpus.build_corpus``, so that the commands
     # that evaluate nothing start without numpy
@@ -164,6 +174,11 @@ def cmd_eval(args) -> int:
     given.update((name, getattr(args, name)) for name in ("N", "K")
                  if getattr(args, name) is not None)
     cfg = numeric_eval.EvalConfig(**given)
+    require_admissible(s)  # a divergent comp is named as such, never as too large
+    length = cfg.N if args.q is None else numeric_eval.qmzv_stop(s, cfg)
+    if length * len(s) > MAX_EVAL_SUMMANDS:
+        raise ValueError(f"input too large to compute ({length} x {len(s)} summands, "
+                         f"more than eval's cap of {MAX_EVAL_SUMMANDS})")
     if args.q is not None:
         res = numeric_eval.qmzv_num(s, cfg)
         payload = {

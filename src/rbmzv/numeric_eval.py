@@ -31,9 +31,19 @@ few) blocks are live, since a node's prefix block is freed once its last
 child has read it.  ``mpl_num`` walks in float64 when every letter is real
 and in complex128 otherwise.
 
+Powers of a real letter, of q and of n + x come from numpy's ``power``.
+That is not libm's ``pow``: numpy 2.4.6 dispatching X86_V4 / AVX512_ICL
+gives n ** -3.0 over n = 1..16384 unlike ``math.pow`` in 884 elements,
+and n ** -2.0 unlike the correctly rounded 1/n^2 in 976.  So the bits of
+zeta values, of the corpus and of its pinned digests rest on numpy's SIMD
+dispatch; whether another CPU gives other bits is unverified.  Powers of
+a complex letter take no ``cpow``, which cost about 190 ns each on a
+shared 2-CPU Xeon against 6 ns for a real base: ``_powers`` builds each
+block's powers from one scalar power by doubling, in complex multiplies.
+
 The polylog and q-MZV walks stop early.  Where a power q^(k m) or z^n
-falls below 2^-``_ZERO_BITS`` it is written as +0 without calling ``pow``
-or ``cpow``, which return an exact zero there anyway, and a power of a
+falls below 2^-``_ZERO_BITS`` it is written as +0 without calling
+``pow``, which returns an exact zero there anyway, and a power of a
 letter equal to 1 (or q^0) is never computed.  From the first index where
 the outermost power is zero, every outer summand is that zero times finite
 factors in (0, 1] and prefix sums, so ``_walk``'s blocks cover only the
@@ -110,11 +120,11 @@ class EvalResult:
 _LEAF = 1 << 14
 
 
-#: Bits past which a power is written as an exact +0 without calling
-#: ``pow`` or ``cpow``.  A true value below 2^-1100 is 2^-26 of the least
-#: subnormal double (2^-1074), so both already return an exact zero there:
-#: their own error, and the rounding of the cutoff below, are far inside
-#: those 26 bits.  ``tests/test_numeric_eval.py`` checks this premise.
+#: Bits past which a power is written as an exact +0 without computing
+#: it.  A true value below 2^-1100 is 2^-26 of the least subnormal double
+#: (2^-1074), so ``pow`` already returns an exact zero there: its own
+#: error, and the rounding of the cutoff below, are far inside those 26
+#: bits.  ``tests/test_numeric_eval.py`` checks this premise.
 _ZERO_BITS = 1100
 
 
@@ -129,10 +139,31 @@ def _first_zero(bits: float, size: int) -> int:
 
 def _powers(base, e, lo: int, zero_from: int, dtype):
     """``base ** e`` over the block of indices starting at ``lo``, with
-    +0 written from index ``zero_from`` on instead of calling ``pow``."""
+    +0 written from index ``zero_from`` on and nothing computed there.
+
+    A real base takes numpy's ``power``.  A complex base z, with
+    e = lo + 1, lo + 2, ..., takes no ``cpow``: the block's first power
+    z^(lo + 1) is the product, lowest bit first, of the squares z^(2^i)
+    over the set bits of lo + 1, and then, for k = 1, 2, 4, ...,
+    ``out[k:2k] = out[:k] * z^k`` over the live indices, z^k squared up
+    in Python ``complex``.  Every block starts afresh, and the powers of
+    +-1 and +-1j are exact."""
     out = np.zeros(len(e), dtype)
     live = min(len(e), max(0, zero_from - lo))
-    np.power(base, e[:live], out=out[:live])
+    if dtype != np.complex128:
+        np.power(base, e[:live], out=out[:live])
+    elif live:
+        first, square, m = None, base, lo + 1
+        while m:
+            if m & 1:
+                first = square if first is None else first * square
+            m >>= 1
+            square *= square
+        out[0] = first
+        k, zk = 1, base
+        while k < live:
+            np.multiply(out[:min(k, live - k)], zk, out=out[k:min(2 * k, live)])
+            k, zk = 2 * k, zk * zk
     return out
 
 
@@ -270,7 +301,8 @@ def mpl_num(s: tuple, z: tuple, cfg: EvalConfig | None = None) -> EvalResult:
     power z^n is written as +0 from the first n with
     n * log2(1/|z|) >= ``_ZERO_BITS`` on; the walk stops at the outer
     letter's first zero, past which every summand is zero times finite
-    factors.
+    factors.  A complex letter's powers are built by doubling
+    (``_powers``).
     """
     cfg = cfg or EvalConfig()
     check_composition(s)
@@ -334,10 +366,15 @@ def qmzv_num(s: tuple, cfg: EvalConfig | None = None) -> EvalResult:
                            else powers(k, lo, sj - 1)) / bracket**sj
 
     chain = tuple(s)
-    stop = _first_zero((s[0] - 1) * bits, cfg.K)
-    value = _walk((chain,), cfg.K, np.float64, block_terms, stop)[chain]
+    value = _walk((chain,), cfg.K, np.float64, block_terms, qmzv_stop(s, cfg))[chain]
     tail = q ** (cfg.K * (s[0] - 1)) * cfg.K * (1.0 - q) ** sum(s)
     return EvalResult(value=value, tail_bound=tail)
+
+
+def qmzv_stop(s: tuple, cfg: EvalConfig) -> int:
+    """How many k the q-MZV walk of ``s`` visits: K, or fewer where the
+    outer power q^(k (s1 - 1)) turns zero."""
+    return _first_zero((s[0] - 1) * -math.log2(float(cfg.q)), cfg.K)
 
 
 def nested_sum_oracle(s: tuple, N: int, x: Fraction = Fraction(0)) -> Fraction:

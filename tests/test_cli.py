@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbmzv import cli, mzv_calculus as mzv, numeric_eval
@@ -393,6 +396,24 @@ class TestEval:
         assert out == ""
         assert "error: truncation K must be >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--comp", "2,2,2,2", "--N", "1000000000"),
+        # the q-walk stops at k = 762,461,517, where q^k turns zero
+        ("--comp", "2", "--q", "999999/1000000", "--K", "1000000000"),
+    ], ids=["zeta", "qmzv"])
+    def test_too_many_summands_refused_fast(self, capsys, argv):
+        # each ran for minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input too large to compute (")
+        assert err.count("\n") == 1 and str(cli.MAX_EVAL_SUMMANDS) in err
+
+    def test_divergent_named_before_the_summand_cap(self, capsys):
+        code, _, err = run(capsys, "eval", "--comp", "1,2", "--N", "1000000000")
+        assert code == 2 and "divergent" in err
+
     def test_default_n_ignores_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("RBX_DEFAULT_N", "500")
         code, out, _ = run(capsys, "eval", "--comp", "2")
@@ -604,7 +625,10 @@ class TestCorpus:
         entries = list(build_corpus(max_weight, max_depth))
         text = "".join(canonical_json(e) + "\n" for e in entries)
         assert len(entries) == count
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # the bits rest on numpy's power, whose SIMD dispatch may differ by CPU
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+            f"corpus bytes differ on {platform.platform()}, "
+            f"libc {' '.join(platform.libc_ver())}, numpy {np.__version__}")
 
     def test_relation_text_is_canonical_json(self):
         # the C encoder writes canonical_json's bytes for float-free data
